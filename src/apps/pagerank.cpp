@@ -7,6 +7,7 @@
 
 #include "abelian/sync.hpp"
 #include "apps/atomic_ops.hpp"
+#include "apps/pagerank_pull.hpp"
 #include "runtime/timer.hpp"
 #include "telemetry/trace.hpp"
 
@@ -19,6 +20,7 @@ std::vector<double> run_pagerank(abelian::HostEngine& eng,
   const double n_global = static_cast<double>(g.global_nodes);
 
   std::vector<double> rank(n_local, 1.0 / n_global);
+  std::vector<double> contrib(n_local, 0.0);
   std::vector<double> accum(n_local, 0.0);
   rt::ConcurrentBitset dirty(n_local);
   rt::ConcurrentBitset rank_dirty(n_local);
@@ -28,8 +30,8 @@ std::vector<double> run_pagerank(abelian::HostEngine& eng,
   std::uint32_t iter = 0;
   std::uint32_t resumed_at = std::numeric_limits<std::uint32_t>::max();
 
-  // Recovery: the per-iteration transient state (accum, dirty sets) is
-  // rebuilt every round, so the checkpoint is just the rank vector.
+  // Recovery: the per-iteration transient state (contrib, accum, dirty
+  // sets) is rebuilt every round, so the checkpoint is just the rank vector.
   if (rec != nullptr && rec->resume && rec->resume_round >= 0) {
     std::vector<std::vector<std::uint8_t>> arrays;
     if (rec->store->load(rec->host, rec->resume_round, arrays) &&
@@ -50,24 +52,13 @@ std::vector<double> run_pagerank(abelian::HostEngine& eng,
                        {{rank.data(), n_local * sizeof(double)}});
     }
     telemetry::Span round_span("app", "round", g.host_id);
-    // --- Computation: scatter contributions along local out-edges ---
+    // --- Computation: every local vertex pulls its in-neighbors'
+    // contributions into its own accumulator (single writer per slot) ---
     rt::Timer compute_timer;
     {
       telemetry::Span compute_span("app", "compute", g.host_id);
-      eng.team().parallel_chunks(
-          0, n_local, [&](std::size_t lo, std::size_t hi, std::size_t) {
-            for (std::size_t lid = lo; lid < hi; ++lid) {
-              const std::uint32_t outdeg = g.global_out_degree[lid];
-              if (outdeg == 0 || g.out_edges.degree(lid) == 0) continue;
-              const double contrib = rank[lid] / static_cast<double>(outdeg);
-              g.out_edges.for_each_edge(
-                  static_cast<graph::VertexId>(lid),
-                  [&](graph::VertexId dst, graph::Weight) {
-                    atomic_add(accum[dst], contrib);
-                    dirty.set(dst);
-                  });
-            }
-          });
+      pull_rank_contributions(eng.team(), g.in_edges, g.global_out_degree,
+                              rank, contrib, accum, dirty);
     }
     eng.stats().compute_s += compute_timer.elapsed_s();
 
@@ -91,6 +82,7 @@ std::vector<double> run_pagerank(abelian::HostEngine& eng,
     {
       telemetry::Span compute_span("app", "compute", g.host_id);
       rt::Spinlock delta_lock;
+      rank_dirty.clear_all();
       eng.team().parallel_chunks(
           0, g.num_masters, [&](std::size_t lo, std::size_t hi, std::size_t) {
             double delta = 0.0;
@@ -113,20 +105,6 @@ std::vector<double> run_pagerank(abelian::HostEngine& eng,
                                  [](graph::VertexId) {});
     }
 
-    // --- Reset round state ---
-    rt::Timer reset_timer;
-    {
-      telemetry::Span compute_span("app", "compute", g.host_id);
-      eng.team().parallel_chunks(0, n_local,
-                                 [&](std::size_t lo, std::size_t hi,
-                                     std::size_t) {
-                                   for (std::size_t lid = lo; lid < hi; ++lid)
-                                     accum[lid] = 0.0;
-                                 });
-      dirty.clear_all();
-      rank_dirty.clear_all();
-    }
-    eng.stats().compute_s += reset_timer.elapsed_s();
     eng.stats().rounds++;
 
     const double global_delta = eng.cluster().oob_allreduce_sum(local_delta);

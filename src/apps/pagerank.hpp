@@ -1,11 +1,12 @@
 // PageRank on the Abelian engine (accumulate-reduce-recompute-broadcast).
 //
-// Topology-driven rounds: every local vertex with out-edges contributes
-// rank/out_degree to its out-neighbors' accumulators (local atomic adds);
-// dirty accumulator mirrors are Add-reduced to their masters; masters
-// recompute rank = (1-d)/n + d * accum; under vertex cuts the new ranks are
-// broadcast back to mirrors (partition-aware sync). This is the app with the
-// most communication rounds, where the paper sees LCI's largest wins.
+// Topology-driven rounds: every local vertex pulls rank/out_degree from its
+// local in-neighbors into its own accumulator (owner-writes, no atomics; see
+// pagerank_pull.hpp); dirty accumulator mirrors are Add-reduced to their
+// masters; masters recompute rank = (1-d)/n + d * accum; under vertex cuts
+// the new ranks are broadcast back to mirrors (partition-aware sync). This is
+// the app with the most communication rounds, where the paper sees LCI's
+// largest wins.
 #pragma once
 
 #include <cstdint>

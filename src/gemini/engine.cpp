@@ -4,6 +4,7 @@
 #include <cmath>
 #include <mutex>
 
+#include "apps/pagerank_pull.hpp"
 #include "comm/lci_backend.hpp"
 #include "mpilite/comm.hpp"
 #include "mpilite/personality.hpp"
@@ -396,6 +397,9 @@ std::vector<double> GeminiHost::run_pagerank(double damping,
   // Per-destination partial sums: pagerank is topology-driven (dense every
   // round), so contributions are always combined locally and each
   // destination is signalled once per round (Gemini's aggregated slot).
+  // Every edge source is a local master, so each destination pulls from
+  // masters' contributions; mirror contrib slots stay 0.0.
+  std::vector<double> contrib(n_local, 0.0);
   std::vector<double> partial(n_local, 0.0);
   rt::ConcurrentBitset touched(n_local);
 
@@ -407,8 +411,8 @@ std::vector<double> GeminiHost::run_pagerank(double damping,
   std::uint32_t iter = 0;
   std::uint32_t resumed_at = std::numeric_limits<std::uint32_t>::max();
 
-  // Recovery: per-iteration transients (accum, partial, touched) are rebuilt
-  // every round, so the checkpoint is just the master rank vector.
+  // Recovery: per-iteration transients (accum, contrib, partial, touched) are
+  // rebuilt every round, so the checkpoint is just the master rank vector.
   if (rec != nullptr && rec->resume && rec->resume_round >= 0) {
     std::vector<std::vector<std::uint8_t>> arrays;
     if (rec->store->load(rec->host, rec->resume_round, arrays) &&
@@ -432,20 +436,8 @@ std::vector<double> GeminiHost::run_pagerank(double damping,
     {
       telemetry::Span compute_span("gemini", "compute",
                                    static_cast<std::uint32_t>(g_.host_id));
-      team_->parallel_chunks(
-          0, n_masters, [&](std::size_t lo, std::size_t hi, std::size_t) {
-            for (std::size_t i = lo; i < hi; ++i) {
-              const std::uint32_t outdeg = g_.global_out_degree[i];
-              if (outdeg == 0) continue;
-              const double contrib = rank[i] / static_cast<double>(outdeg);
-              g_.out_edges.for_each_edge(
-                  static_cast<graph::VertexId>(i),
-                  [&](graph::VertexId dst_lid, graph::Weight) {
-                    apps::atomic_add(partial[dst_lid], contrib);
-                    touched.set(dst_lid);
-                  });
-            }
-          });
+      apps::pull_rank_contributions(*team_, g_.in_edges, g_.global_out_degree,
+                                    rank, contrib, partial, touched);
     }
     stats_.compute_s += combine_timer.elapsed_s();
 
@@ -473,8 +465,6 @@ std::vector<double> GeminiHost::run_pagerank(double damping,
           }
         },
         apply);
-    touched.for_each([&](std::size_t dst) { partial[dst] = 0.0; });
-    touched.clear_all();
 
     double local_delta = 0.0;
     for (std::size_t i = 0; i < n_masters; ++i) {

@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <random>
 #include <sstream>
 
 #include "abelian/cluster.hpp"
 #include "apps/bfs.hpp"
 #include "apps/cc.hpp"
+#include "apps/pagerank_pull.hpp"
 #include "apps/pull_engine.hpp"
 #include "apps/reference.hpp"
 #include "apps/sssp.hpp"
@@ -16,6 +19,7 @@
 #include "bench_support/runner.hpp"
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
+#include "runtime/thread_team.hpp"
 
 namespace lcr {
 namespace {
@@ -318,6 +322,126 @@ TEST(AbelianAppsExtra, PagerankMassConserved) {
     expected_total += expected[v];
   }
   EXPECT_NEAR(total, expected_total, 1e-9);
+}
+
+std::uint64_t bits_of(double d) {
+  std::uint64_t b;
+  std::memcpy(&b, &d, sizeof(b));
+  return b;
+}
+
+// The pull pass must add the same doubles in the same order as a sequential
+// push along out-edges, so the sums agree bit for bit. The graph mixes
+// duplicate edges, sources with zero out-degree, isolated vertices, and
+// out-degrees above the local degree (a partitioned host's mirrors).
+TEST(PagerankPull, BitwiseEqualToSequentialPush) {
+  constexpr graph::VertexId kN = 600;
+  constexpr graph::VertexId kSinks = 450;     // [450, 520): no out-edges
+  constexpr graph::VertexId kIsolated = 520;  // [520, 600): no edges at all
+  std::mt19937_64 rng(20240611);
+  std::uniform_int_distribution<graph::VertexId> src_of(0, kSinks - 1);
+  std::uniform_int_distribution<graph::VertexId> dst_of(0, kIsolated - 1);
+  graph::EdgeList edges;
+  for (int i = 0; i < 6000; ++i) edges.emplace_back(src_of(rng), dst_of(rng));
+  for (int i = 0; i < 800; ++i) edges.push_back(edges[rng() % edges.size()]);
+  std::shuffle(edges.begin(), edges.end(), rng);
+  const graph::Csr out = graph::Csr::from_edges(kN, edges);
+  const graph::Csr in = out.reverse();
+
+  std::vector<std::uint32_t> out_degree(kN);
+  std::vector<double> rank(kN);
+  std::uniform_real_distribution<double> mantissa(0.5, 1.0);
+  for (graph::VertexId u = 0; u < kN; ++u) {
+    out_degree[u] = static_cast<std::uint32_t>(out.degree(u)) +
+                    static_cast<std::uint32_t>(rng() % 3);
+    if (u >= kIsolated) out_degree[u] = 0;
+    // Magnitudes spread over ~20 binades so summation order is visible.
+    rank[u] = std::ldexp(mantissa(rng), -static_cast<int>(rng() % 20));
+  }
+
+  std::vector<double> expected(kN, 0.0);
+  for (graph::VertexId u = 0; u < kN; ++u) {
+    if (out_degree[u] == 0) continue;
+    const double c = rank[u] / static_cast<double>(out_degree[u]);
+    out.for_each_edge(u, [&](graph::VertexId dst, graph::Weight) {
+      expected[dst] += c;
+    });
+  }
+
+  // The data must actually be order-sensitive, or the check below is vacuous.
+  std::size_t order_sensitive = 0;
+  for (graph::VertexId v = 0; v < kN; ++v) {
+    double reversed = 0.0;
+    for (graph::EdgeId e = in.edge_end(v); e > in.edge_begin(v); --e) {
+      const graph::VertexId u = in.edge_target(e - 1);
+      reversed += rank[u] / static_cast<double>(out_degree[u]);
+    }
+    if (bits_of(reversed) != bits_of(expected[v])) ++order_sensitive;
+  }
+  ASSERT_GT(order_sensitive, 0u);
+
+  for (const std::size_t threads : {1u, 4u}) {
+    rt::ThreadTeam team(threads);
+    std::vector<double> contrib(kN, 0.0);
+    std::vector<double> accum(kN, std::nan(""));  // every slot is rewritten
+    rt::ConcurrentBitset dirty(kN);
+    for (graph::VertexId v = 0; v < kN; ++v) dirty.set(v);  // stale bits
+    apps::pull_rank_contributions(team, in, out_degree, rank, contrib, accum,
+                                  dirty);
+    for (graph::VertexId v = 0; v < kN; ++v) {
+      EXPECT_EQ(bits_of(accum[v]), bits_of(expected[v]))
+          << "vertex " << v << " threads " << threads;
+      EXPECT_EQ(dirty.test(v), in.degree(v) > 0) << "vertex " << v;
+    }
+  }
+}
+
+// With the owner-writes pull, and at most two non-zero partial sums per
+// master on a 2x2 Cartesian vertex cut (a master's in-edges live on the two
+// hosts of one grid column), PageRank is a deterministic function of the
+// graph: neither the compute-thread count nor the host scheduler may change
+// a single bit. (Not asserted on the outgoing edge-cut, where the Add-reduce
+// applies several mirrors' contributions in arrival order.)
+TEST(AbelianAppsExtra, PagerankBitwiseDeterministicAcrossThreadsAndSchedulers) {
+  // Scale 13 gives each host several of the team's 1024-vertex chunks, so
+  // the compute threads really split the pass (a push kernel with atomic
+  // adds fails this check on this graph).
+  graph::GenOptions opt;
+  opt.seed = 4242;
+  const graph::Csr g = graph::kron(13, 16.0, opt);
+  bench::RunSpec spec;
+  spec.app = "pagerank";
+  spec.backend = comm::BackendKind::Lci;
+  spec.policy = graph::PartitionPolicy::CartesianVertexCut;
+  spec.hosts = 4;
+  spec.pagerank_iters = 10;
+  spec.pagerank_tol = 0.0;
+
+  bool have_base = false;
+  bench::RunResult base;
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    for (const char* sched : {"os", "ult"}) {
+      spec.threads = threads;
+      spec.host_sched = sched;
+      const bench::RunResult r = bench::run_app(g, spec);
+      SCOPED_TRACE(::testing::Message()
+                   << "threads " << threads << " host_sched " << sched);
+      if (!have_base) {
+        base = r;
+        have_base = true;
+        continue;
+      }
+      ASSERT_EQ(r.labels_f64.size(), base.labels_f64.size());
+      std::size_t mismatches = 0;
+      for (std::size_t v = 0; v < base.labels_f64.size(); ++v)
+        if (bits_of(r.labels_f64[v]) != bits_of(base.labels_f64[v]))
+          ++mismatches;
+      EXPECT_EQ(mismatches, 0u);
+      EXPECT_EQ(r.rounds, base.rounds);
+      EXPECT_EQ(r.messages, base.messages);
+      EXPECT_EQ(r.bytes, base.bytes);
+    }
+  }
 }
 
 }  // namespace
