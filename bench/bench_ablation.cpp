@@ -201,7 +201,7 @@ int main() {
     };
     for (const Mode& m : {Mode{"sparse (per-edge signals)", 2.0},
                           Mode{"dense (per-dst combined)", 0.0},
-                          Mode{"adaptive (5% switch)", 0.05}}) {
+                          Mode{"adaptive (5% of edges)", 0.05}}) {
       bench::RunSpec spec;
       spec.app = "cc";
       spec.engine = "gemini";

@@ -35,9 +35,11 @@ struct RunSpec {
   graph::VertexId source = 0;
   std::uint32_t pagerank_iters = 20;
   std::uint32_t kcore_k = 4;  // for app == "kcore" (abelian engine only)
-  /// Gemini sparse/dense switch (see gemini::GeminiConfig::dense_threshold).
-  /// The Fig-4 bench forces sparse (> 1.0) to reproduce the paper's
-  /// per-edge signal regime; the dense aggregation is this repo's extension.
+  /// Gemini sparse/dense switch: a round goes dense when its frontier's
+  /// local out-edges exceed this fraction of the host's local edges (see
+  /// gemini::GeminiConfig::dense_threshold). The Fig-4 bench forces sparse
+  /// (> 1.0) to reproduce the paper's per-edge signal regime; the dense
+  /// aggregation is this repo's extension.
   double gemini_dense_threshold = 0.05;
   /// Gemini record-batch bytes per (thread, destination).
   std::size_t gemini_batch_bytes = 8 * 1024;

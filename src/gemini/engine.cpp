@@ -233,6 +233,8 @@ GeminiHost::GeminiHost(abelian::Cluster& cluster, const graph::DistGraph& g,
       {"gemini.messages", &stats_.messages},
       {"gemini.bytes", &stats_.bytes},
       {"gemini.direct_sends", &stats_.direct_sends},
+      {"gemini.dense_rounds", &stats_.dense_rounds},
+      {"gemini.sparse_rounds", &stats_.sparse_rounds},
       {"graph.mem_bytes", &stats_.graph_mem_bytes},
       {"graph.mem_bytes_uncompressed", &stats_.graph_mem_bytes_uncompressed},
       {"graph.mirrors", &stats_.graph_mirrors},

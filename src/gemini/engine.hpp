@@ -35,6 +35,7 @@
 #include "apps/atomic_ops.hpp"
 #include "comm/backend.hpp"
 #include "comm/message.hpp"
+#include "gemini/dense_combine.hpp"
 #include "graph/dist_graph.hpp"
 #include "runtime/aux_thread.hpp"
 #include "runtime/bitset.hpp"
@@ -61,11 +62,12 @@ struct GeminiConfig {
   rt::MemTracker* tracker = nullptr;
   /// Record-batch bytes per (thread, destination) before a chunk is sent.
   std::size_t batch_bytes = 8 * 1024;
-  /// Dual-mode switch: when the frontier covers more than this fraction of
-  /// the local masters, push rounds run in *dense* mode - updates to the
-  /// same destination are pre-combined locally and sent once per
-  /// destination, instead of one signal per edge (Gemini's sparse/dense
-  /// signal-slot adaptivity). Set > 1.0 to force sparse, 0.0 to force dense.
+  /// Dual-mode switch: when the frontier's local out-edges exceed this
+  /// fraction of the host's local edges, push rounds run in *dense* mode -
+  /// updates to the same destination are pre-combined locally and sent once
+  /// per destination, instead of one signal per edge (Gemini's sparse/dense
+  /// signal-slot adaptivity, which also counts active edges, not vertices).
+  /// Set > 1.0 to force sparse, 0.0 to force dense.
   double dense_threshold = 0.05;
   /// LCI injection lanes for the produce path; 0 = one per compute thread.
   std::size_t lci_lanes = 0;
@@ -82,8 +84,8 @@ struct GeminiConfig {
 
 struct GeminiStats {
   std::uint64_t rounds = 0;
-  std::uint64_t sparse_rounds = 0;
-  std::uint64_t dense_rounds = 0;
+  std::atomic<std::uint64_t> sparse_rounds{0};
+  std::atomic<std::uint64_t> dense_rounds{0};
   /// Time until local signal production finished (compute, overlapped).
   double compute_s = 0.0;
   /// Remaining round time waiting on/processing remote streams.
@@ -209,7 +211,9 @@ class GeminiHost {
   /// direct_sent_ feeds the tail's put count. Any failure (no region
   /// published, frame oversized, put unavailable) silently leaves the peer
   /// on the two-sided path. Called from the round driver before
-  /// stream_round, single-threaded.
+  /// stream_round, single-threaded, under a gemini/direct_put span: the
+  /// binning pass counts as compute_s and the puts (with their retries on
+  /// a busy fabric) as comm_s, so the produce/drain split still adds up.
   template <typename T>
   void direct_put_dense(const rt::ConcurrentBitset& touched,
                         const std::function<T(std::size_t)>& value_of);
@@ -327,6 +331,8 @@ void GeminiHost::direct_put_dense(
   const int p = g_.num_hosts;
   const int me = g_.host_id;
   constexpr std::size_t rec = sizeof(graph::VertexId) + sizeof(T);
+  rt::Timer timer;
+  telemetry::Span span("gemini", "direct_put", static_cast<std::uint32_t>(me));
   // One pass over the touched scratch, binning records by owner. The frame
   // is a regular chunk (Raw records after a ChunkHeader) so the receive side
   // decodes it exactly like a streamed chunk, just in place.
@@ -344,6 +350,8 @@ void GeminiHost::direct_put_dense(
     std::memcpy(f.data() + off, &gid, sizeof(gid));
     std::memcpy(f.data() + off + sizeof(gid), &value, sizeof(T));
   });
+  stats_.compute_s += timer.elapsed_s();
+  timer.reset();
   for (int dst = 0; dst < p; ++dst) {
     auto& f = frames[static_cast<std::size_t>(dst)];
     if (dst == me || f.empty()) continue;
@@ -383,6 +391,7 @@ void GeminiHost::direct_put_dense(
     stats_.messages.fetch_add(1, std::memory_order_relaxed);
     stats_.bytes.fetch_add(f.size(), std::memory_order_relaxed);
   }
+  stats_.comm_s += timer.elapsed_s();
 }
 
 template <typename T>
@@ -666,8 +675,11 @@ std::vector<typename Traits::Label> GeminiHost::run_push(
   rt::ConcurrentBitset active(n_masters);
   rt::ConcurrentBitset frontier(n_masters);
 
-  // Dense-mode scratch: per-destination combined candidates.
+  // Dense-mode scratch: per-destination combined candidates, plus one
+  // private slot array per extra compute thread (dense_combine.hpp),
+  // allocated on the first dense round so all-sparse runs never pay for it.
   std::vector<Label> combined(n_local, Traits::kInf);
+  std::vector<std::vector<Label>> private_slots;
   rt::ConcurrentBitset touched(n_local);
 
   for (std::size_t i = 0; i < n_masters; ++i) {
@@ -680,7 +692,7 @@ std::vector<typename Traits::Label> GeminiHost::run_push(
   std::function<void(graph::VertexId, const Label&)> apply =
       [&](graph::VertexId gid, const Label& value) {
         const std::size_t i = gid - mlo;
-        if (value < labels[i] && apps::atomic_min(labels[i], value)) {
+        if (apps::atomic_min(labels[i], value)) {
           if (g_.out_edges.degree(i) > 0) active.set(i);
         }
       };
@@ -718,13 +730,19 @@ std::vector<typename Traits::Label> GeminiHost::run_push(
                          active.num_words() * sizeof(std::uint64_t)}});
     }
     frontier.clear_all();
-    active.for_each([&](std::size_t i) { frontier.set(i); });
-    const std::size_t frontier_size = frontier.count_range(0, n_masters);
+    std::size_t frontier_edges = 0;
+    active.for_each([&](std::size_t i) {
+      frontier.set(i);
+      frontier_edges += g_.out_edges.degree(static_cast<graph::VertexId>(i));
+    });
     active.clear_all();
 
+    // Gemini's rule: go dense on active *edges*. A few hub vertices can carry
+    // a large share of the local edges while being a tiny share of the
+    // masters, and sparse mode pays one record per edge.
     const bool dense =
-        static_cast<double>(frontier_size) >
-        cfg_.dense_threshold * static_cast<double>(n_masters);
+        static_cast<double>(frontier_edges) >
+        cfg_.dense_threshold * static_cast<double>(g_.out_edges.num_edges());
 
     if (!dense) {
       // Sparse signal mode: one record per frontier out-edge.
@@ -740,7 +758,10 @@ std::vector<typename Traits::Label> GeminiHost::run_push(
               if (lo >= n_masters) break;
               const std::size_t hi = std::min(n_masters, lo + kGrain);
               frontier.for_each_in_range(lo, hi, [&](std::size_t i) {
-                const Label src_label = labels[i];
+                // Drains on other compute threads may lower the label
+                // meanwhile; a newer value only tightens the candidates.
+                const Label src_label = std::atomic_ref<Label>(labels[i]).load(
+                    std::memory_order_relaxed);
                 g_.out_edges.for_each_edge(
                     static_cast<graph::VertexId>(i),
                     [&](graph::VertexId dst_lid, graph::Weight w) {
@@ -756,25 +777,14 @@ std::vector<typename Traits::Label> GeminiHost::run_push(
       // Dense mode: pre-combine all candidates per destination locally,
       // then signal each destination once (Gemini's aggregated slot path).
       stats_.dense_rounds++;
+      if (private_slots.empty() && team_->size() > 1)
+        private_slots = make_private_slots<Traits>(team_->size(), n_local);
       rt::Timer combine_timer;
       {
         telemetry::Span compute_span("gemini", "compute",
                                      static_cast<std::uint32_t>(g_.host_id));
-        team_->parallel_chunks(
-            0, n_masters, [&](std::size_t lo, std::size_t hi, std::size_t) {
-              frontier.for_each_in_range(lo, hi, [&](std::size_t i) {
-                const Label src_label = labels[i];
-                g_.out_edges.for_each_edge(
-                    static_cast<graph::VertexId>(i),
-                    [&](graph::VertexId dst_lid, graph::Weight w) {
-                      const Label cand = Traits::relax(src_label, w);
-                      if (cand == Traits::kInf) return;
-                      if (cand < combined[dst_lid] &&
-                          apps::atomic_min(combined[dst_lid], cand))
-                        touched.set(dst_lid);
-                    });
-              });
-            });
+        dense_combine<Traits>(*team_, g_.out_edges, frontier, labels,
+                              combined, private_slots, touched);
       }
       stats_.compute_s += combine_timer.elapsed_s();
       // Direct-write fan-out (DESIGN.md §15): ship each peer's combined
@@ -802,9 +812,9 @@ std::vector<typename Traits::Label> GeminiHost::run_push(
             }
           },
           apply);
-      // Reset only the touched scratch entries.
+      // Reset only the touched scratch entries; the next dense_combine
+      // rewrites `touched` whole.
       touched.for_each([&](std::size_t dst) { combined[dst] = Traits::kInf; });
-      touched.clear_all();
     }
 
     const std::uint64_t global_active = cluster_.oob_allreduce_sum(

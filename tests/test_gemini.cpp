@@ -7,25 +7,40 @@
 #include "apps/bfs.hpp"
 #include "apps/cc.hpp"
 #include "apps/reference.hpp"
+#include "apps/sssp.hpp"
 #include "bench_support/runner.hpp"
+#include "gemini/dense_combine.hpp"
 #include "gemini/engine.hpp"
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
+#include "runtime/rng.hpp"
 
 namespace lcr {
 namespace {
 
+/// One end-to-end run checked against the sequential reference. The
+/// scale-12 cases sweep thread counts and both signal modes on graphs large
+/// enough that each host's masters span several combine chunks, so extra
+/// compute threads really fold private slot arrays into the shared one.
 struct GeminiCase {
   const char* app;
   comm::BackendKind backend;  // Lci or MpiProbe (mapped to the MPI shim)
   int hosts;
+  int scale = 7;
+  std::size_t threads = 2;
+  double threshold = 0.05;  // gemini_dense_threshold: 2.0 sparse, 0.0 dense
 };
 
 std::string case_name(const ::testing::TestParamInfo<GeminiCase>& info) {
+  const GeminiCase& c = info.param;
   std::ostringstream os;
-  os << info.param.app << "_"
-     << (info.param.backend == comm::BackendKind::Lci ? "lci" : "mpi") << "_h"
-     << info.param.hosts;
+  os << c.app << "_" << (c.backend == comm::BackendKind::Lci ? "lci" : "mpi")
+     << "_h" << c.hosts;
+  if (c.scale != 7)
+    os << "_s" << c.scale << "_t" << c.threads << "_"
+       << (c.threshold > 1.0    ? "sparse"
+           : c.threshold == 0.0 ? "dense"
+                                : "adaptive");
   return os.str();
 }
 
@@ -37,7 +52,7 @@ TEST_P(GeminiApps, MatchesSequentialReference) {
   opt.seed = 777;
   opt.make_weights = true;
   opt.max_weight = 8;
-  graph::Csr g = graph::rmat(7, 8.0, opt);
+  graph::Csr g = graph::rmat(c.scale, 8.0, opt);
   const bool is_cc = std::string(c.app) == "cc";
   if (is_cc) g = graph::symmetrize(g);
 
@@ -46,7 +61,8 @@ TEST_P(GeminiApps, MatchesSequentialReference) {
   spec.engine = "gemini";
   spec.backend = c.backend;
   spec.hosts = c.hosts;
-  spec.threads = 2;
+  spec.threads = c.threads;
+  spec.gemini_dense_threshold = c.threshold;
   spec.source = bench::choose_source(g);
   spec.pagerank_iters = 8;
 
@@ -74,11 +90,128 @@ std::vector<GeminiCase> make_cases() {
   cases.push_back({"bfs", comm::BackendKind::Lci, 1});
   cases.push_back({"bfs", comm::BackendKind::Lci, 2});
   cases.push_back({"pagerank", comm::BackendKind::MpiProbe, 2});
+  for (const char* app : {"bfs", "cc", "sssp"})
+    for (std::size_t threads : {1u, 2u, 4u})
+      for (double threshold : {0.05, 0.0, 2.0})
+        cases.push_back(
+            {app, comm::BackendKind::Lci, 2, 12, threads, threshold});
   return cases;
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, GeminiApps, ::testing::ValuesIn(make_cases()),
                          case_name);
+
+/// The privatized dense combine (gemini/dense_combine.hpp) against the
+/// sequential CAS push it replaced, on a seeded weighted CSR with duplicate
+/// edges, sinks, mirror-only destinations and kInf frontier sources.
+TEST(GeminiDenseCombine, MatchesSequentialCasPush) {
+  using Traits = apps::SsspTraits;
+  using Label = Traits::Label;
+  constexpr std::size_t kMasters = 9000;
+  constexpr std::size_t kLocal = 13037;  // not a multiple of 64
+  rt::Xoshiro256 rng(20261017);
+  graph::EdgeList edges;
+  std::vector<graph::Weight> weights;
+  for (std::size_t u = 0; u < kMasters; ++u) {
+    if (rng.below(8) == 0) continue;  // sink
+    const std::size_t deg = 1 + rng.below(u % 97 == 0 ? 300 : 12);
+    for (std::size_t k = 0; k < deg; ++k) {
+      const auto v = static_cast<graph::VertexId>(rng.below(kLocal));
+      const auto w = static_cast<graph::Weight>(1 + rng.below(9));
+      edges.push_back({static_cast<graph::VertexId>(u), v});
+      weights.push_back(w);
+      if (rng.below(5) == 0) {  // duplicate edge, different weight
+        edges.push_back({static_cast<graph::VertexId>(u), v});
+        weights.push_back(static_cast<graph::Weight>(1 + rng.below(9)));
+      }
+    }
+  }
+  const graph::Csr csr = graph::Csr::from_edges(
+      static_cast<graph::VertexId>(kLocal), edges, weights);
+
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    rt::ThreadTeam team(threads);
+    std::vector<Label> combined(kLocal, Traits::kInf);
+    auto priv = gemini::make_private_slots<Traits>(threads, kLocal);
+    rt::ConcurrentBitset touched(kLocal);
+    // Several rounds over one scratch set: the merge must leave the private
+    // slots at kInf, and `touched` must not carry bits between rounds.
+    for (int round = 0; round < 3; ++round) {
+      std::vector<Label> labels(kMasters);
+      rt::ConcurrentBitset frontier(kMasters);
+      for (std::size_t u = 0; u < kMasters; ++u) {
+        labels[u] = rng.below(10) == 0
+                        ? Traits::kInf
+                        : static_cast<Label>(rng.below(1u << 20));
+        if (rng.below(round == 2 ? 50 : 2) == 0) frontier.set(u);
+      }
+
+      std::vector<Label> expected(kLocal, Traits::kInf);
+      rt::ConcurrentBitset expected_touched(kLocal);
+      frontier.for_each([&](std::size_t u) {
+        csr.for_each_edge(static_cast<graph::VertexId>(u),
+                          [&](graph::VertexId v, graph::Weight w) {
+                            const Label cand = Traits::relax(labels[u], w);
+                            if (cand == Traits::kInf) return;
+                            if (apps::atomic_min(expected[v], cand))
+                              expected_touched.set(v);
+                          });
+      });
+
+      gemini::dense_combine<Traits>(team, csr, frontier, labels, combined,
+                                    priv, touched);
+      ASSERT_EQ(combined, expected) << threads << " threads, round " << round;
+      for (std::size_t v = 0; v < kLocal; ++v)
+        ASSERT_EQ(touched.test(v), expected_touched.test(v))
+            << "lid " << v << ", " << threads << " threads, round " << round;
+      for (const auto& p : priv)
+        for (const Label x : p) ASSERT_EQ(x, Traits::kInf);
+      combined.assign(kLocal, Traits::kInf);
+    }
+  }
+}
+
+/// Pins Gemini's active-edge switch: one hub source whose out-edges are a
+/// quarter of its host's local edges, while the hub itself is one of about
+/// a thousand masters. A vertex-count rule would run that round sparse;
+/// the edge rule must run it dense.
+TEST(GeminiExtra, HubFrontierGoesDenseOnActiveEdges) {
+  constexpr graph::VertexId kNodes = 4096;
+  constexpr graph::VertexId kLeaves = 256;  // sinks: BFS stops after round 0
+  graph::EdgeList edges;
+  for (graph::VertexId v = 1; v <= kLeaves; ++v) edges.push_back({0, v});
+  for (graph::VertexId v = kLeaves + 1; v < kNodes; ++v)
+    edges.push_back({v, v + 1 < kNodes ? v + 1 : kLeaves + 1});
+  const graph::Csr g = graph::Csr::from_edges(kNodes, edges);
+  constexpr int kHosts = 4;
+
+  const auto parts =
+      graph::partition(g, kHosts, graph::PartitionPolicy::BlockedEdgeCut);
+  const graph::DistGraph& h0 = parts[0];
+  ASSERT_EQ(h0.owner_of(0), 0);
+  ASSERT_LT(1.0, 0.05 * h0.num_masters) << "premise: hub is < 5% of masters";
+  ASSERT_GT(static_cast<double>(h0.out_edges.degree(0)),
+            0.05 * static_cast<double>(h0.out_edges.num_edges()))
+      << "premise: hub's out-edges are > 5% of the host's edges";
+
+  for (double threshold : {0.05, 2.0}) {
+    bench::RunSpec spec;
+    spec.app = "bfs";
+    spec.engine = "gemini";
+    spec.backend = comm::BackendKind::Lci;
+    spec.hosts = kHosts;
+    spec.threads = 1;
+    spec.source = 0;
+    spec.gemini_dense_threshold = threshold;
+    const bench::RunResult r = bench::run_app(g, spec);
+    EXPECT_EQ(r.labels_u32, apps::reference_bfs(g, 0));
+    // One round everywhere; only the hub's host has a non-empty frontier.
+    const std::uint64_t dense = r.telemetry.at("gemini.dense_rounds");
+    const std::uint64_t sparse = r.telemetry.at("gemini.sparse_rounds");
+    EXPECT_EQ(dense, threshold > 1.0 ? 0u : 1u) << "threshold " << threshold;
+    EXPECT_EQ(dense + sparse, static_cast<std::uint64_t>(kHosts));
+  }
+}
 
 /// Dual-mode check: forcing sparse signals, forcing dense pre-combining,
 /// and the adaptive default must all converge to the same labels.
