@@ -124,61 +124,6 @@ HostEngine::~HostEngine() {
 }
 
 // ---------------------------------------------------------------------------
-// Phase completion tracking
-// ---------------------------------------------------------------------------
-
-void HostEngine::PhaseState::arm(std::uint32_t id, int num_hosts,
-                                 const std::vector<int>& recv_from) {
-  std::lock_guard<rt::Spinlock> guard(lock);
-  phase_id = id;
-  total.assign(static_cast<std::size_t>(num_hosts), -1);
-  got.assign(static_cast<std::size_t>(num_hosts), 0);
-  direct_expected.assign(static_cast<std::size_t>(num_hosts), 0);
-  direct_got.assign(static_cast<std::size_t>(num_hosts), 0);
-  finished.assign(static_cast<std::size_t>(num_hosts), 0);
-  peers_remaining = recv_from.size();
-  complete.store(peers_remaining == 0, std::memory_order_release);
-}
-
-void HostEngine::PhaseState::note_chunk(int src,
-                                        const comm::ChunkHeader& header) {
-  std::lock_guard<rt::Spinlock> guard(lock);
-  const auto s = static_cast<std::size_t>(src);
-  // Data chunks stream in with num_chunks == 0; the tail (or a lone
-  // single-chunk message) announces the total. Order-independent: the tail
-  // may arrive before its data chunks.
-  if (header.num_chunks != 0) {
-    total[s] = static_cast<std::int32_t>(header.num_chunks);
-    // Header-only tails reuse base_pos as the peer's direct-put count
-    // (data chunks need the field as a record offset, tails never do).
-    if (header.payload_bytes == 0)
-      direct_expected[s] = static_cast<std::int32_t>(header.base_pos);
-  }
-  ++got[s];
-  check_peer(s);
-}
-
-void HostEngine::PhaseState::note_direct(int src) {
-  std::lock_guard<rt::Spinlock> guard(lock);
-  const auto s = static_cast<std::size_t>(src);
-  ++direct_got[s];
-  check_peer(s);
-}
-
-void HostEngine::PhaseState::check_peer(std::size_t s) {
-  // total stays -1 until the tail lands, which also fixes the direct
-  // ledger; a direct put often beats its tail, so direct_got may run ahead
-  // of direct_expected and is compared with >=.
-  if (finished[s] != 0 || total[s] < 0 || got[s] != total[s] ||
-      direct_got[s] < direct_expected[s])
-    return;
-  finished[s] = 1;
-  assert(peers_remaining > 0);
-  if (--peers_remaining == 0)
-    complete.store(true, std::memory_order_release);
-}
-
-// ---------------------------------------------------------------------------
 // Communication thread
 // ---------------------------------------------------------------------------
 
@@ -342,7 +287,7 @@ void HostEngine::send_tail(int dst, std::uint32_t data_chunks,
                            const ScatterFn& scatter, bool can_apply) {
   assert(data_chunks + 1 <= 0xFFFF);
   comm::ChunkHeader header;
-  header.phase_id = phase_state_.phase_id;
+  header.phase_id = ledger_.id();
   header.payload_bytes = 0;
   // Tails carry no records, so base_pos is free for the direct-write
   // ledger: how many direct puts the receiver must count from us before
@@ -372,7 +317,7 @@ void HostEngine::send_tail(int dst, std::uint32_t data_chunks,
 bool HostEngine::next_message(comm::InMessage& out) {
   {
     std::lock_guard<rt::Spinlock> guard(stash_lock_);
-    auto it = stash_.find(phase_state_.phase_id);
+    auto it = stash_.find(ledger_.id());
     if (it != stash_.end() && !it->second.empty()) {
       out = std::move(it->second.front());
       it->second.pop_front();
@@ -394,7 +339,7 @@ void HostEngine::stash_message(comm::InMessage&& msg,
                                const comm::ChunkHeader& header) {
   // phase_id is monotone per engine, so a simple forward-window compare
   // separates a peer legitimately racing ahead from a stale or fuzzed id.
-  const std::uint32_t current = phase_state_.phase_id;
+  const std::uint32_t current = ledger_.id();
   if (header.phase_id > current &&
       header.phase_id - current <= kStashPhaseWindow) {
     // Copy out of transport memory before stashing. A stashed message stays
@@ -439,7 +384,7 @@ void HostEngine::stash_message(comm::InMessage&& msg,
 void HostEngine::purge_stale_stash() {
   std::lock_guard<rt::Spinlock> guard(stash_lock_);
   auto it = stash_.begin();
-  while (it != stash_.end() && it->first < phase_state_.phase_id) {
+  while (it != stash_.end() && it->first < ledger_.id()) {
     for (comm::InMessage& m : it->second) {
       stats_.stash_drops.fetch_add(1, std::memory_order_relaxed);
       if (m.release) m.release();
@@ -450,7 +395,7 @@ void HostEngine::purge_stale_stash() {
   if (!pending_direct_.empty()) {
     auto out = pending_direct_.begin();
     for (const comm::DirectSignal& sig : pending_direct_) {
-      if (sig.phase_id >= phase_state_.phase_id)
+      if (sig.phase_id >= ledger_.id())
         *out++ = sig;
       else
         stats_.direct_stale.fetch_add(1, std::memory_order_relaxed);
@@ -493,9 +438,9 @@ void HostEngine::run_slice(const ApplySlice& slice) {
       stats_.decode_rejects.fetch_add(1, std::memory_order_relaxed);
     if (job->msg.release) job->msg.release();
     if (job->is_direct)
-      phase_state_.note_direct(job->msg.src);
+      ledger_.note_direct(job->msg.src);
     else
-      phase_state_.note_chunk(job->msg.src, job->header);
+      ledger_.note_chunk(job->msg.src, job->header);
     delete job;
   }
 }
@@ -569,7 +514,7 @@ void HostEngine::enqueue_apply(comm::InMessage&& msg,
 bool HostEngine::poll_direct_signal(comm::DirectSignal& out) {
   if (pending_direct_count_.load(std::memory_order_acquire) > 0) {
     std::lock_guard<rt::Spinlock> guard(stash_lock_);
-    const std::uint32_t current = phase_state_.phase_id;
+    const std::uint32_t current = ledger_.id();
     for (auto it = pending_direct_.begin(); it != pending_direct_.end();
          ++it) {
       if (it->phase_id == current) {
@@ -586,7 +531,7 @@ bool HostEngine::poll_direct_signal(comm::DirectSignal& out) {
 void HostEngine::handle_direct_signal(const comm::DirectSignal& sig,
                                       const ScatterFn& scatter,
                                       bool can_apply) {
-  const std::uint32_t current = phase_state_.phase_id;
+  const std::uint32_t current = ledger_.id();
   if (sig.phase_id != current) {
     // A put for a later phase landed early. Its region is a different
     // (pattern, src) slot than anything the current phase reads, so the
@@ -629,7 +574,7 @@ void HostEngine::handle_direct_signal(const comm::DirectSignal& sig,
     // sender's tail expects it), so it is counted and only its content
     // rejected.
     stats_.decode_rejects.fetch_add(1, std::memory_order_relaxed);
-    phase_state_.note_direct(sig.src);
+    ledger_.note_direct(sig.src);
     return;
   }
   enqueue_apply(std::move(msg), header, scatter, can_apply,
@@ -663,7 +608,7 @@ bool HostEngine::drain_one(const ScatterFn& scatter, bool can_apply) {
     if (msg.release) msg.release();
     return true;
   }
-  if (header.phase_id != phase_state_.phase_id) {
+  if (header.phase_id != ledger_.id()) {
     // A peer already raced ahead into a later phase; keep for later
     // (bounded) or drop a stale/fuzzed id.
     stash_message(std::move(msg), header);
@@ -672,7 +617,7 @@ bool HostEngine::drain_one(const ScatterFn& scatter, bool can_apply) {
   if (header.payload_bytes == 0) {
     // Tail or clean single-chunk message: nothing to apply.
     if (msg.release) msg.release();
-    phase_state_.note_chunk(msg.src, header);
+    ledger_.note_chunk(msg.src, header);
     return true;
   }
   if (telemetry::enabled() && header.trace_id != 0) {
@@ -798,7 +743,7 @@ void HostEngine::execute_phase(std::uint32_t pattern, std::size_t rec_bytes,
 
   const std::uint64_t bytes_before =
       stats_.bytes_sent.load(std::memory_order_relaxed);
-  phase_state_.arm(spec.phase_id, p, spec.recv_from);
+  ledger_.arm(spec.phase_id, p, spec.recv_from.size());
   // Record layout for the apply-slice splitter (records are [u32 pos][T]).
   phase_value_bytes_ =
       rec_bytes > sizeof(std::uint32_t) ? rec_bytes - sizeof(std::uint32_t)
@@ -1179,7 +1124,7 @@ void HostEngine::execute_phase(std::uint32_t pattern, std::size_t rec_bytes,
     // drained and feed the queue.
     telemetry::Span recv_span("abelian", "recv", me);
     rt::Backoff backoff;
-    while (!phase_state_.complete.load(std::memory_order_acquire)) {
+    while (!ledger_.complete()) {
       // A dead peer's chunks never arrive: unwind instead of spinning. The
       // host-main driver raises the failure at its next round boundary.
       if (aborting()) break;

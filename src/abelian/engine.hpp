@@ -32,6 +32,7 @@
 #include "abelian/sync.hpp"
 #include "comm/backend.hpp"
 #include "comm/serializer.hpp"
+#include "comm/stream_ledger.hpp"
 #include "graph/dist_graph.hpp"
 #include "runtime/aux_thread.hpp"
 #include "runtime/bitset.hpp"
@@ -258,35 +259,6 @@ class HostEngine {
   }
 
  private:
-  /// Tracks completion of the receive side of one phase. Streaming
-  /// protocol: data chunks carry num_chunks == 0; one tail per peer carries
-  /// the total (data chunks + itself). Chunks may arrive in any order -
-  /// multi-lane LCI reorders freely - so the tail can land before its data.
-  /// Single-message backends (RMA) send num_chunks == 1, no tail.
-  struct PhaseState {
-    std::uint32_t phase_id = 0;
-    rt::Spinlock lock;
-    std::vector<std::int32_t> total;  // expected chunks per rank; -1 unknown
-    std::vector<std::int32_t> got;
-    /// Direct-write ledger (DESIGN.md §15): the tail's base_pos announces
-    /// how many direct puts the peer issued this phase; landed puts are
-    /// counted by note_direct. A peer completes when both ledgers balance.
-    std::vector<std::int32_t> direct_expected;
-    std::vector<std::int32_t> direct_got;
-    std::vector<char> finished;  // peer already counted toward completion
-    std::size_t peers_remaining = 0;
-    std::atomic<bool> complete{false};
-
-    void arm(std::uint32_t id, int num_hosts,
-             const std::vector<int>& recv_from);
-    void note_chunk(int src, const comm::ChunkHeader& header);
-    /// Counts one landed direct put from `src` (its apply already ran).
-    void note_direct(int src);
-
-   private:
-    void check_peer(std::size_t s);  // callers hold `lock`
-  };
-
   struct SendWork {
     int dst = -1;
     std::vector<std::byte> payload;
@@ -444,7 +416,8 @@ class HostEngine {
   std::size_t apply_workers_ = 1;     // effective count, clamped to the team
   std::size_t phase_value_bytes_ = 0; // sizeof(T) for the phase in flight
 
-  PhaseState phase_state_;
+  /// Receive-side completion of the phase in flight.
+  comm::StreamLedger ledger_;
   std::uint32_t phase_counter_ = 0;
 
   EngineStats stats_;

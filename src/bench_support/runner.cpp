@@ -17,6 +17,7 @@
 #include "apps/sssp_delta.hpp"
 #include "gemini/engine.hpp"
 #include "graph/partition.hpp"
+#include "mpilite/personality.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/mem_tracker.hpp"
 #include "runtime/timer.hpp"
@@ -106,6 +107,12 @@ void note_rollback_rounds(telemetry::Registry& reg,
 
 RunResult run_app(const graph::Csr& g, const RunSpec& spec) {
   const bool is_gemini = spec.engine == "gemini";
+  // Reject bad specs here, before any host thread starts: a backend that
+  // throws while its peers wait at a barrier would hang the cluster.
+  mpi::personality_by_name(spec.mpi_personality);
+  if (is_gemini && spec.backend == comm::BackendKind::MpiRma)
+    throw std::invalid_argument(
+        "the gemini engine runs on lci or mpi-probe, not mpi-rma");
   const graph::PartitionPolicy policy =
       is_gemini ? graph::PartitionPolicy::BlockedEdgeCut : spec.policy;
 

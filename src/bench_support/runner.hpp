@@ -136,7 +136,10 @@ struct RunResult {
 };
 
 /// Runs `spec` on `g`. For cc the caller should pass a symmetrized graph.
-/// The gemini engine forces BlockedEdgeCut.
+/// The gemini engine forces BlockedEdgeCut and runs on Lci or MpiProbe
+/// (the latter as Gemini's THREAD_MULTIPLE MPI). Throws
+/// std::invalid_argument for gemini on MpiRma and for an unknown
+/// mpi_personality.
 RunResult run_app(const graph::Csr& g, const RunSpec& spec);
 
 /// Picks a well-connected source (max out-degree vertex).

@@ -22,18 +22,11 @@ struct DirectFrame {
   std::uint64_t imm2;  // (pattern_key << 32) | bytes
 };
 
-mpi::Personality personality_by_name(const std::string& name) {
-  if (name == "intelmpi") return mpi::intelmpi_like();
-  if (name == "mvapich") return mpi::mvapich_like();
-  if (name == "openmpi") return mpi::openmpi_like();
-  return mpi::default_personality();
-}
-
 }  // namespace
 
 MpiProbeBackend::MpiProbeBackend(fabric::Fabric& fabric, int rank,
                                  const BackendOptions& options)
-    : comm_(fabric, rank, personality_by_name(options.mpi_personality),
+    : comm_(fabric, rank, mpi::personality_by_name(options.mpi_personality),
             mpi::ThreadLevel::Funneled,
             mpi::CommConfig{fabric.config().default_rx_buffers,
                             /*internal_tracker=*/nullptr}),

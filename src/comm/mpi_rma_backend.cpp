@@ -9,20 +9,11 @@
 
 namespace lcr::comm {
 
-namespace {
-mpi::Personality personality_by_name(const std::string& name) {
-  if (name == "intelmpi") return mpi::intelmpi_like();
-  if (name == "mvapich") return mpi::mvapich_like();
-  if (name == "openmpi") return mpi::openmpi_like();
-  return mpi::default_personality();
-}
-}  // namespace
-
 MpiRmaBackend::MpiRmaBackend(fabric::Fabric& fabric, int rank,
                              const BackendOptions& options)
     // "this layer uses MPI_thread_multiple" - both the main compute thread
     // and the dedicated polling thread issue MPI commands.
-    : comm_(fabric, rank, personality_by_name(options.mpi_personality),
+    : comm_(fabric, rank, mpi::personality_by_name(options.mpi_personality),
             mpi::ThreadLevel::Multiple,
             // Two declared concurrent callers: the put-issuing compute path
             // and the dedicated polling thread.

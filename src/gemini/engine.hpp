@@ -10,14 +10,18 @@
 // on communication from many threads with MPI_THREAD_MULTIPLE ... In
 // particular, MPI_PROBE is used frequently inside a receiving thread to
 // receive incoming messages (traversing nodes from different hosts and with
-// different sizes)". The two comm shims reproduce exactly that contrast:
+// different sizes)". The engine drives a plain comm::Backend from every
+// compute thread, and the two CommKinds reproduce exactly that contrast:
 //
-//   * GeminiMpiComm  - mpilite under THREAD_MULTIPLE: every compute thread
-//     isends its own buffers (paying the global lock) and probes/receives
-//     with wildcards (paying matching-queue traversal).
-//   * GeminiLciComm  - "simple modifications ... such that each
-//     sending/receiving thread uses LCI Queue instead of MPI": send_enq /
-//     recv_deq from every thread, one LCI server thread for progress.
+//   * MpiProbeMulti - comm::MpiMultiBackend, mpilite under THREAD_MULTIPLE:
+//     every compute thread isends its own buffers (paying the global lock)
+//     and probes/receives with wildcards (paying matching-queue traversal).
+//   * Lci - the factory's LCI backend, the paper's "simple modifications ...
+//     such that each sending/receiving thread uses LCI Queue instead of
+//     MPI": send_enq / recv_deq from every thread, one LCI server thread for
+//     progress.
+//
+// Round completion is the same comm::StreamLedger the Abelian engine uses.
 #pragma once
 
 #include <atomic>
@@ -35,6 +39,7 @@
 #include "apps/atomic_ops.hpp"
 #include "comm/backend.hpp"
 #include "comm/message.hpp"
+#include "comm/stream_ledger.hpp"
 #include "gemini/dense_combine.hpp"
 #include "graph/dist_graph.hpp"
 #include "runtime/aux_thread.hpp"
@@ -108,52 +113,6 @@ struct GeminiStats {
 /// abelian's per-phase-spec keys, which share the same cluster directory.
 inline constexpr std::uint32_t kGeminiPatternKey = 0x47454D31u;  // "GEM1"
 
-/// Internal comm shim; see file comment.
-class GeminiComm {
- public:
-  virtual ~GeminiComm() = default;
-  virtual const char* name() const = 0;
-  /// Thread-safe; false = resources exhausted, retry after receiving.
-  virtual bool try_send(int dst, std::vector<std::byte>& payload) = 0;
-  /// Buffer-lease path (see comm::Backend): producers serialize signal
-  /// records straight into leased wire memory. Defaults funnel a heap
-  /// buffer through try_send; the LCI shim leases pool packets (zero-copy).
-  virtual comm::BufferLease acquire(int dst, std::size_t max_bytes);
-  virtual bool commit(int dst, comm::BufferLease& lease, std::size_t bytes);
-  virtual void abandon(comm::BufferLease& lease);
-  /// Preferred chunk size for leased sends (0 = no preference); batches are
-  /// capped to this so LCI chunks stay within one eager packet.
-  virtual std::size_t preferred_chunk() const { return 0; }
-  /// Thread-safe receive of any arrived chunk.
-  virtual bool try_recv(comm::InMessage& out) = 0;
-  /// Dedicated progress loop body (LCI server); MPI progresses inside calls.
-  virtual void progress() = 0;
-
-  /// Direct-write hooks (DESIGN.md §15). Defaults are inert: the THREAD_
-  /// MULTIPLE MPI shim has no one-sided primitive (every thread owns its own
-  /// sends, there is no funnel point to emulate a NIC at), so it always
-  /// streams two-sided and these report unsupported. The LCI shim delegates
-  /// to the wrapped backend's registered-region put path.
-  virtual bool supports_direct_write() const { return false; }
-  virtual comm::DirectRegion register_direct_region(int /*src*/,
-                                                    std::byte* /*base*/,
-                                                    std::size_t /*bytes*/,
-                                                    std::uint32_t /*gen*/) {
-    return comm::DirectRegion{};
-  }
-  virtual void release_direct_region(int /*src*/,
-                                     const comm::DirectRegion& /*region*/) {}
-  virtual comm::DirectPutStatus direct_put(int /*dst*/,
-                                           const comm::DirectRegion& /*r*/,
-                                           const void* /*payload*/,
-                                           std::size_t /*bytes*/,
-                                           std::uint32_t /*phase_id*/,
-                                           std::uint32_t /*pattern_key*/) {
-    return comm::DirectPutStatus::Unavailable;
-  }
-  virtual bool poll_direct(comm::DirectSignal& /*out*/) { return false; }
-};
-
 class GeminiHost {
  public:
   /// `g` must be a BlockedEdgeCut partition.
@@ -166,7 +125,6 @@ class GeminiHost {
 
   GeminiStats& stats() noexcept { return stats_; }
   const graph::DistGraph& graph() const noexcept { return g_; }
-  const char* comm_name() const { return comm_->name(); }
 
   /// Data-driven push apps (bfs / cc / sssp) using the Abelian app traits.
   template <typename Traits>
@@ -199,11 +157,6 @@ class GeminiHost {
       comm::InMessage* m,
       const std::function<void(graph::VertexId, const T&)>& apply);
 
-  /// `drain` returns whether it made progress, so blocked producers can
-  /// back off (rt::Backoff) instead of burning a core on a busy loop.
-  void send_with_backpressure(int dst, std::vector<std::byte>& payload,
-                              const std::function<bool()>& drain);
-
   /// Dense-round direct-write fan-out (DESIGN.md §15): serializes one frame
   /// per remote peer from the touched/value scratch and puts it straight
   /// into the peer's registered region. Peers whose frame was put are marked
@@ -225,43 +178,21 @@ class GeminiHost {
     return cluster_.membership().failure_pending();
   }
 
-  struct RoundState {
-    std::uint32_t round_id = 0;
-    rt::Spinlock lock;
-    std::vector<std::int32_t> total;  // chunks expected per peer (-1 unknown)
-    std::vector<std::int32_t> got;
-    // Direct-put ledger (DESIGN.md §15): the peer's tail announces how many
-    // direct puts it issued this round (in base_pos); a peer is complete only
-    // when both the chunk count and the direct count are satisfied. Compared
-    // with >= because the put usually lands before the tail announces it.
-    std::vector<std::int32_t> direct_expected;
-    std::vector<std::int32_t> direct_got;
-    std::vector<char> finished;  // guards double-decrement of peers_remaining
-    std::size_t peers_remaining = 0;
-    std::atomic<bool> complete{false};
-    void arm(std::uint32_t id, int num_hosts);
-    void note_chunk(int src, const comm::ChunkHeader& header);
-    void note_direct(int src);
-
-   private:
-    void check_peer(std::size_t s);  // lock held
-  };
-
   abelian::Cluster& cluster_;
   const graph::DistGraph& g_;
   GeminiConfig cfg_;
-  std::unique_ptr<GeminiComm> comm_;
+  std::unique_ptr<comm::Backend> backend_;
   std::unique_ptr<rt::ThreadTeam> team_;
 
   rt::AuxThread server_thread_;
   std::atomic<bool> stop_{false};
 
-  RoundState round_;
+  comm::StreamLedger ledger_;  // receive-side completion of the round
   std::uint32_t round_counter_ = 0;
   rt::Spinlock stash_lock_;
   std::deque<comm::InMessage> stash_;  // next-round chunks
 
-  /// Parallel-drain handoff: the thread that pops a chunk off the comm shim
+  /// Parallel-drain handoff: the thread that pops a chunk off the backend
   /// publishes it here so any compute thread can decode/apply it, instead of
   /// serializing decode behind the receiver (DESIGN.md §12). Entries are
   /// heap-owned; the applier deletes after settling.
@@ -271,7 +202,7 @@ class GeminiHost {
   std::vector<std::unique_ptr<std::atomic<std::uint32_t>>> chunks_sent_;
 
   /// Receive-side direct-write region for one source peer: engine-owned
-  /// buffer registered with the comm shim and published in the cluster
+  /// buffer registered with the backend and published in the cluster
   /// directory under kGeminiPatternKey.
   struct DirectHome {
     std::unique_ptr<std::byte[]> buf;
@@ -319,7 +250,7 @@ void GeminiHost::apply_chunk_typed(
     telemetry::hop("apply", static_cast<std::uint32_t>(g_.host_id),
                    header.trace_id, header.trace_hop);
   if (m->release) m->release();
-  round_.note_chunk(m->src, header);
+  ledger_.note_chunk(m->src, header);
   delete m;
 }
 
@@ -374,14 +305,14 @@ void GeminiHost::direct_put_dense(
     bool ok = false;
     rt::Backoff backoff;
     for (;;) {
-      const comm::DirectPutStatus st = comm_->direct_put(
+      const comm::DirectPutStatus st = backend_->direct_put(
           dst, region, f.data(), f.size(), round_counter_, kGeminiPatternKey);
       if (st == comm::DirectPutStatus::Ok) {
         ok = true;
         break;
       }
       if (st == comm::DirectPutStatus::Unavailable || aborting()) break;
-      comm_->progress();  // Retry: transient resource exhaustion
+      backend_->progress();  // Retry: transient resource exhaustion
       backoff.pause();
     }
     if (!ok) continue;
@@ -411,13 +342,13 @@ bool GeminiHost::drain_one_typed(
   // allreduce, so a peer can never be a round ahead of us here; phase
   // mismatches only arise from retransmissions of already-counted puts.
   comm::DirectSignal sig;
-  while (comm_->poll_direct(sig)) {
+  while (backend_->poll_direct(sig)) {
     if (sig.pattern_key != kGeminiPatternKey) continue;
     const auto s = static_cast<std::size_t>(sig.src);
     if (s >= direct_homes_.size()) continue;
     const DirectHome& home = direct_homes_[s];
     if (!home.region.valid() || sig.generation != home.region.generation ||
-        sig.phase_id != round_.round_id ||
+        sig.phase_id != ledger_.id() ||
         sig.bytes < comm::kChunkHeaderBytes ||
         sig.bytes > home.region.capacity)
       continue;
@@ -427,7 +358,7 @@ bool GeminiHost::drain_one_typed(
     m.size = sig.bytes;
     const comm::ChunkHeader header = m.header();
     constexpr std::size_t rec = sizeof(graph::VertexId) + sizeof(T);
-    if (header.phase_id == round_.round_id &&
+    if (header.phase_id == ledger_.id() &&
         comm::kChunkHeaderBytes + header.payload_bytes == sig.bytes) {
       const std::byte* p = m.payload();
       for (std::size_t off = 0; off + rec <= header.payload_bytes;
@@ -441,7 +372,7 @@ bool GeminiHost::drain_one_typed(
     }
     // Generation and round matched: this is a live put, count it even if the
     // frame failed to parse (the ledger must balance or the round hangs).
-    round_.note_direct(sig.src);
+    ledger_.note_direct(sig.src);
     return true;
   }
 
@@ -450,16 +381,25 @@ bool GeminiHost::drain_one_typed(
   {
     std::lock_guard<rt::Spinlock> guard(stash_lock_);
     if (!stash_.empty() &&
-        stash_.front().header().phase_id == round_.round_id) {
+        stash_.front().header().phase_id == ledger_.id()) {
       msg = std::move(stash_.front());
       stash_.pop_front();
       have = true;
     }
   }
-  if (!have) have = comm_->try_recv(msg);
+  if (!have) have = backend_->try_recv(msg);
+  if (!have) {
+    // Nothing pending: lend this thread to progress for one step and look
+    // again. On the paper's clusters the LCI server owns a core and this
+    // never helps; on simulated hosts sharing cores the polling thread would
+    // otherwise just spin waiting for the server thread to be scheduled.
+    // Both backends Gemini drives have a thread-safe progress().
+    backend_->progress();
+    have = backend_->try_recv(msg);
+  }
   if (!have) return false;
 
-  if (msg.header().phase_id != round_.round_id) {
+  if (msg.header().phase_id != ledger_.id()) {
     // A peer raced ahead into the next round (it can be at most one ahead).
     std::lock_guard<rt::Spinlock> guard(stash_lock_);
     stash_.push_back(std::move(msg));
@@ -481,13 +421,13 @@ void GeminiHost::stream_round(
     const std::function<void(graph::VertexId, const T&)>& apply) {
   const int p = g_.num_hosts;
   const int me = g_.host_id;
-  round_.arm(round_counter_, p);
+  ledger_.arm(round_counter_, p, static_cast<std::size_t>(p - 1));
   for (auto& c : chunks_sent_) c->store(0, std::memory_order_relaxed);
 
   constexpr std::size_t rec = sizeof(graph::VertexId) + sizeof(T);
-  // Cap batches at the comm's preferred chunk so leased LCI chunks fit one
-  // eager packet and stay zero-copy end to end.
-  const std::size_t pref = comm_->preferred_chunk();
+  // Cap batches at the backend's chunk size so leased LCI chunks fit one
+  // eager packet and stay zero-copy end to end (0 = no preference).
+  const std::size_t pref = backend_->chunk_bytes();
   std::size_t batch = std::max<std::size_t>(rec, cfg_.batch_bytes);
   if (pref > comm::kChunkHeaderBytes + rec)
     batch = std::min(batch, pref - comm::kChunkHeaderBytes);
@@ -508,30 +448,15 @@ void GeminiHost::stream_round(
     };
     std::vector<Open> open(static_cast<std::size_t>(p));
     auto drain = [&]() -> bool { return drain_one_typed<T>(apply); };
-    auto ship = [&](int dst) {
-      Open& o = open[static_cast<std::size_t>(dst)];
-      if (o.bytes == 0) {
-        if (o.lease) comm_->abandon(o.lease);
-        return;
-      }
-      const std::uint32_t ord = chunks_sent_[static_cast<std::size_t>(dst)]
-                                    ->fetch_add(1, std::memory_order_acq_rel);
-      comm::ChunkHeader header;
-      header.phase_id = round_.round_id;
-      header.payload_bytes = static_cast<std::uint32_t>(o.bytes);
-      header.chunk_idx = 0;   // scatter is order-free
-      header.num_chunks = 0;  // streaming: total only known at the tail
-      header.format = static_cast<std::uint8_t>(comm::WireFormat::Raw);
-      // Causal-trace sampling: gemini chunks have no shared-list position,
-      // so the per-destination chunk ordinal identifies the message. Must
-      // precede finalize() (the self-check covers the trace fields).
-      header.trace_id = telemetry::sample_trace_id(
-          static_cast<std::uint32_t>(me), round_.round_id,
-          (static_cast<std::uint32_t>(dst) << 16) | (ord & 0xFFFF));
+    // Writes `header` at the front of `lease` and commits the chunk. Data
+    // chunks and tails share this path; while the backend pushes back, the
+    // thread relieves it by consuming incoming records, and backs off only
+    // when there was nothing to drain.
+    auto post = [&](int dst, comm::BufferLease& lease,
+                    comm::ChunkHeader& header) {
       header.finalize();
-      std::memcpy(o.lease.data, &header, sizeof(header));
-      const std::size_t total = comm::kChunkHeaderBytes + o.bytes;
-      o.bytes = 0;
+      std::memcpy(lease.data, &header, sizeof(header));
+      const std::size_t total = comm::kChunkHeaderBytes + header.payload_bytes;
       if (telemetry::enabled() && header.trace_id != 0) {
         char hbuf[64];
         std::snprintf(hbuf, sizeof(hbuf), "{\"dst\":%d,\"bytes\":%zu}", dst,
@@ -545,19 +470,41 @@ void GeminiHost::stream_round(
       stats_.bytes.fetch_add(total, std::memory_order_relaxed);
       if (cfg_.tracker != nullptr) cfg_.tracker->on_alloc(total);
       rt::Backoff backoff;
-      while (!comm_->commit(dst, o.lease, total)) {
+      while (!backend_->commit(dst, lease, total)) {
         if (aborting()) {
-          comm_->abandon(o.lease);
+          // Abandon the send; the round is unwinding for recovery.
+          backend_->abandon(lease);
           if (cfg_.tracker != nullptr) cfg_.tracker->on_free(total);
           return;
         }
-        // Relieve back pressure by consuming incoming records; only back off
-        // when there was nothing to drain.
         if (drain())
           backoff.reset();
         else
           backoff.pause();
       }
+    };
+    auto ship = [&](int dst) {
+      Open& o = open[static_cast<std::size_t>(dst)];
+      if (o.bytes == 0) {
+        if (o.lease) backend_->abandon(o.lease);
+        return;
+      }
+      const std::uint32_t ord = chunks_sent_[static_cast<std::size_t>(dst)]
+                                    ->fetch_add(1, std::memory_order_acq_rel);
+      comm::ChunkHeader header;
+      header.phase_id = ledger_.id();
+      header.payload_bytes = static_cast<std::uint32_t>(o.bytes);
+      header.chunk_idx = 0;   // scatter is order-free
+      header.num_chunks = 0;  // streaming: total only known at the tail
+      header.format = static_cast<std::uint8_t>(comm::WireFormat::Raw);
+      // Causal-trace sampling: gemini chunks have no shared-list position,
+      // so the per-destination chunk ordinal identifies the message. Set
+      // before post() finalizes (the self-check covers the trace fields).
+      header.trace_id = telemetry::sample_trace_id(
+          static_cast<std::uint32_t>(me), ledger_.id(),
+          (static_cast<std::uint32_t>(dst) << 16) | (ord & 0xFFFF));
+      o.bytes = 0;
+      post(dst, o.lease, header);
     };
     auto emit = [&](graph::VertexId gid, const T& value) {
       const int owner = g_.owner_of(gid);
@@ -568,7 +515,7 @@ void GeminiHost::stream_round(
       Open& o = open[static_cast<std::size_t>(owner)];
       for (;;) {
         if (!o.lease) {
-          o.lease = comm_->acquire(owner, comm::kChunkHeaderBytes + batch);
+          o.lease = backend_->acquire(owner, comm::kChunkHeaderBytes + batch);
           o.bytes = 0;
         }
         const std::size_t cap =
@@ -603,9 +550,8 @@ void GeminiHost::stream_round(
         const std::uint32_t sent =
             chunks_sent_[static_cast<std::size_t>(dst)]->load(
                 std::memory_order_acquire);
-        std::vector<std::byte> tail(comm::kChunkHeaderBytes);
         comm::ChunkHeader header;
-        header.phase_id = round_.round_id;
+        header.phase_id = ledger_.id();
         header.chunk_idx = 0;
         header.num_chunks = static_cast<std::uint16_t>(sent + 1);  // + tail
         header.payload_bytes = 0;
@@ -613,16 +559,14 @@ void GeminiHost::stream_round(
         // direct puts this host issued to dst this round (DESIGN.md §15).
         header.base_pos = direct_sent_[static_cast<std::size_t>(dst)];
         header.format = static_cast<std::uint8_t>(comm::WireFormat::Raw);
-        header.finalize();
-        std::memcpy(tail.data(), &header, sizeof(header));
-        stats_.messages.fetch_add(1, std::memory_order_relaxed);
-        stats_.bytes.fetch_add(tail.size(), std::memory_order_relaxed);
-        send_with_backpressure(dst, tail, drain);
+        comm::BufferLease tail =
+            backend_->acquire(dst, comm::kChunkHeaderBytes);
+        post(dst, tail, header);
       }
     }
 
     rt::Backoff backoff;
-    while (!round_.complete.load(std::memory_order_acquire)) {
+    while (!ledger_.complete()) {
       // A dead peer's chunks never arrive: unwind instead of spinning.
       if (aborting()) break;
       if (drain_one_typed<T>(apply))
@@ -654,7 +598,7 @@ void GeminiHost::stream_round(
   // Health-monitor report: one (duration, bytes) sample per host per round,
   // piggybacked on the round completion just synchronized on.
   cluster_.health().note_phase(
-      static_cast<std::uint32_t>(me), round_.round_id,
+      static_cast<std::uint32_t>(me), ledger_.id(),
       round_end_ns - round_start_ns,
       stats_.bytes.load(std::memory_order_relaxed) - bytes_before);
 

@@ -1,5 +1,7 @@
 #include "mpilite/personality.hpp"
 
+#include <stdexcept>
+
 namespace lcr::mpi {
 
 Personality default_personality() { return Personality{}; }
@@ -41,6 +43,14 @@ Personality openmpi_like() {
   p.rma_sync_cost_ns = 330;
   p.eager_limit = 4 * 1024;
   return p;
+}
+
+Personality personality_by_name(const std::string& name) {
+  if (name == "default") return default_personality();
+  if (name == "intelmpi") return intelmpi_like();
+  if (name == "mvapich") return mvapich_like();
+  if (name == "openmpi") return openmpi_like();
+  throw std::invalid_argument("unknown MPI personality: " + name);
 }
 
 }  // namespace lcr::mpi

@@ -67,4 +67,9 @@ Personality mvapich_like();
 /// OpenMPI-like: balanced but higher per-call overhead and lock cost.
 Personality openmpi_like();
 
+/// Looks up a personality by name: "default", "intelmpi", "mvapich" or
+/// "openmpi". Throws std::invalid_argument for any other name, so a typo
+/// fails loudly instead of running the default under the wrong label.
+Personality personality_by_name(const std::string& name);
+
 }  // namespace lcr::mpi

@@ -1,16 +1,22 @@
 // Unit tests of the communication backends' distinguishing mechanisms:
 // MPI-Probe's buffered aggregation layer, MPI-RMA's worst-case window
-// accounting, and the LCI backend's zero-copy receive path.
+// accounting, the LCI backend's zero-copy receive path, the THREAD_MULTIPLE
+// MPI backend - plus the stream-completion ledger both engines share.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <algorithm>
+#include <atomic>
 #include <map>
+#include <random>
 #include <thread>
 
 #include "comm/lci_backend.hpp"
+#include "comm/mpi_multi_backend.hpp"
 #include "comm/mpi_probe_backend.hpp"
 #include "comm/mpi_rma_backend.hpp"
 #include "comm/serializer.hpp"
+#include "comm/stream_ledger.hpp"
 #include "fabric/fabric.hpp"
 #include "runtime/mem_tracker.hpp"
 
@@ -255,6 +261,177 @@ TEST(WireInterop, ForcedFormatsDecodeIdenticallyAcrossTheWire) {
         [&](std::uint32_t pos, const std::uint32_t& v) { got[pos] = v; }));
     msg.release();
     EXPECT_EQ(got, expected);
+  }
+}
+
+/// The THREAD_MULTIPLE backend is callable from every thread, never chunks
+/// and never refuses a send; a message round-trips through probe + recv.
+TEST(MpiMultiBackendUnit, ThreadSafeUnchunkedRoundTrip) {
+  fabric::Fabric fab(2, fabric::test_config());
+  rt::MemTracker tracker;
+  comm::BackendOptions opt;
+  opt.tracker = &tracker;
+  comm::MpiMultiBackend tx(fab, 0, opt, /*callers=*/2);
+  comm::MpiMultiBackend rx(fab, 1, opt, /*callers=*/2);
+  EXPECT_TRUE(tx.thread_safe_send());
+  EXPECT_TRUE(tx.thread_safe_recv());
+  EXPECT_EQ(tx.chunk_bytes(), 0u);
+
+  std::vector<std::byte> chunk = make_chunk(/*phase=*/3, /*bytes=*/100);
+  tracker.on_alloc(chunk.size());  // the engine accounts before sending
+  ASSERT_TRUE(tx.try_send(1, chunk));
+  comm::InMessage msg;
+  while (!rx.try_recv(msg)) {
+    rx.progress();
+    tx.progress();
+  }
+  EXPECT_EQ(msg.src, 0);
+  EXPECT_EQ(msg.size, comm::kChunkHeaderBytes + 100);
+  EXPECT_EQ(msg.header().phase_id, 3u);
+  EXPECT_EQ(msg.payload()[99], static_cast<std::byte>(99));
+  msg.release();
+  tx.progress();
+  EXPECT_EQ(tracker.current(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// StreamLedger: receive-side completion of one streamed exchange, shared by
+// the Abelian phase and the Gemini round.
+// ---------------------------------------------------------------------------
+
+comm::ChunkHeader data_header() {
+  comm::ChunkHeader h;
+  h.payload_bytes = 64;
+  h.base_pos = 128;  // a record offset on data chunks, never a put count
+  h.num_chunks = 0;  // streaming: the total arrives in the tail
+  return h;
+}
+
+/// Header-only tail: `chunks` counts the data chunks plus the tail itself.
+comm::ChunkHeader tail_header(std::uint16_t chunks,
+                              std::uint32_t direct_puts = 0) {
+  comm::ChunkHeader h;
+  h.payload_bytes = 0;
+  h.num_chunks = chunks;
+  h.base_pos = direct_puts;
+  return h;
+}
+
+TEST(StreamLedger, TailLandingBeforeItsDataChunksWaitsForThem) {
+  comm::StreamLedger ledger;
+  ledger.arm(/*id=*/7, /*num_hosts=*/2, /*expected_peers=*/1);
+  EXPECT_EQ(ledger.id(), 7u);
+  ledger.note_chunk(1, tail_header(3));  // 2 data chunks + this tail
+  EXPECT_FALSE(ledger.complete());
+  ledger.note_chunk(1, data_header());
+  EXPECT_FALSE(ledger.complete());
+  ledger.note_chunk(1, data_header());
+  EXPECT_TRUE(ledger.complete());
+
+  // A single-message sender (num_chunks == 1 with payload, no tail): its
+  // base_pos is a record offset, not a put count.
+  comm::ChunkHeader single = data_header();
+  single.num_chunks = 1;
+  ledger.arm(8, 2, 1);
+  ledger.note_chunk(1, single);
+  EXPECT_TRUE(ledger.complete());
+}
+
+TEST(StreamLedger, DirectPutLandingBeforeItsTailIsCounted) {
+  comm::StreamLedger ledger;
+  ledger.arm(1, 2, 1);
+  ledger.note_direct(1);
+  ledger.note_direct(1);  // direct_got (2) > direct_expected (0, no tail)
+  EXPECT_FALSE(ledger.complete()) << "completed before the tail landed";
+  ledger.note_chunk(1, tail_header(1, /*direct_puts=*/2));
+  EXPECT_TRUE(ledger.complete());
+
+  // The reverse order: the tail announces a put that has not landed yet.
+  ledger.arm(2, 2, 1);
+  ledger.note_direct(1);
+  ledger.note_chunk(1, tail_header(1, /*direct_puts=*/2));
+  EXPECT_FALSE(ledger.complete());
+  ledger.note_direct(1);
+  EXPECT_TRUE(ledger.complete());
+}
+
+TEST(StreamLedger, NoExpectedPeersIsCompleteAtArm) {
+  comm::StreamLedger ledger;
+  ledger.arm(3, /*num_hosts=*/1, /*expected_peers=*/0);
+  EXPECT_TRUE(ledger.complete());
+  ledger.arm(4, 4, 3);  // re-arming resets completion
+  EXPECT_FALSE(ledger.complete());
+  EXPECT_EQ(ledger.id(), 4u);
+}
+
+TEST(StreamLedger, PeerCountsTowardCompletionExactlyOnce) {
+  comm::StreamLedger ledger;
+  ledger.arm(5, /*num_hosts=*/3, /*expected_peers=*/2);
+  ledger.note_chunk(1, tail_header(1));
+  EXPECT_FALSE(ledger.complete());
+  // Stray notes from the already-balanced peer must not stand in for the
+  // peer still outstanding.
+  ledger.note_direct(1);
+  ledger.note_chunk(1, data_header());
+  ledger.note_chunk(1, tail_header(1));
+  EXPECT_FALSE(ledger.complete());
+  ledger.note_chunk(2, tail_header(1));
+  EXPECT_TRUE(ledger.complete());
+}
+
+/// 4 threads note one shuffled round's chunks and puts at once, several
+/// notes per peer racing on each other. One event is held back: the ledger
+/// must not complete without it (a peer counted twice would), and must
+/// complete with it.
+TEST(StreamLedger, ConcurrentNotesCompleteExactlyWhenBalanced) {
+  constexpr int kHosts = 5;  // rank 0 receives from peers 1..4
+  constexpr int kThreads = 4;
+  constexpr int kDataChunks = 16;
+  constexpr std::uint32_t kPuts = 3;
+  struct Event {
+    int src;
+    bool direct;
+    comm::ChunkHeader header;
+  };
+  std::mt19937 rng(20261017);
+  comm::StreamLedger ledger;
+  for (std::uint32_t round = 0; round < 50; ++round) {
+    std::vector<Event> events;
+    for (int src = 1; src < kHosts; ++src) {
+      for (int c = 0; c < kDataChunks; ++c)
+        events.push_back({src, false, data_header()});
+      events.push_back({src, false, tail_header(kDataChunks + 1, kPuts)});
+      for (std::uint32_t d = 0; d < kPuts; ++d)
+        events.push_back({src, true, comm::ChunkHeader{}});
+    }
+    std::shuffle(events.begin(), events.end(), rng);
+    const Event held = events.back();
+    events.pop_back();
+
+    ledger.arm(round, kHosts, kHosts - 1);
+    std::atomic<int> ready{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+        for (std::size_t i = static_cast<std::size_t>(t); i < events.size();
+             i += kThreads) {
+          const Event& e = events[i];
+          if (e.direct)
+            ledger.note_direct(e.src);
+          else
+            ledger.note_chunk(e.src, e.header);
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    ASSERT_FALSE(ledger.complete()) << "round " << round;
+    if (held.direct)
+      ledger.note_direct(held.src);
+    else
+      ledger.note_chunk(held.src, held.header);
+    ASSERT_TRUE(ledger.complete()) << "round " << round;
   }
 }
 

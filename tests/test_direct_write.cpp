@@ -514,8 +514,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------------------------------------------------------------------
 // 4c. Gemini engine: dense rounds direct-put their combined frames (LCI
-// comm); the THREAD_MULTIPLE MPI shim has no one-sided primitive and must
-// stay exact on the pure streaming path.
+// backend); the THREAD_MULTIPLE MPI backend has no one-sided primitive and
+// must stay exact on the pure streaming path.
 // ---------------------------------------------------------------------------
 
 TEST(GeminiDirectWrite, BfsAndPagerankExactWithForcedDirectWrites) {
@@ -560,7 +560,7 @@ TEST(GeminiDirectWrite, MpiMultiShimFallsBackToStreamingExactly) {
   EXPECT_EQ(r.labels_u32, apps::reference_bfs(g, spec.source));
   const auto it = r.telemetry.find("gemini.direct_sends");
   EXPECT_EQ(it == r.telemetry.end() ? 0 : it->second, 0u)
-      << "the THREAD_MULTIPLE shim has no one-sided primitive";
+      << "the THREAD_MULTIPLE backend has no one-sided primitive";
 }
 
 TEST(GeminiDirectWrite, OffModeSendsNothingDirect) {

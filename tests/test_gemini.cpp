@@ -1,7 +1,9 @@
-// End-to-end correctness of the Gemini engine with both comm shims.
+// End-to-end correctness of the Gemini engine on both of its backends: LCI
+// and the THREAD_MULTIPLE MPI backend.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 
 #include "abelian/cluster.hpp"
 #include "apps/bfs.hpp"
@@ -24,7 +26,7 @@ namespace {
 /// compute threads really fold private slot arrays into the shared one.
 struct GeminiCase {
   const char* app;
-  comm::BackendKind backend;  // Lci or MpiProbe (mapped to the MPI shim)
+  comm::BackendKind backend;  // Lci or MpiProbe (THREAD_MULTIPLE MPI)
   int hosts;
   int scale = 7;
   std::size_t threads = 2;
@@ -292,6 +294,18 @@ TEST(GeminiExtra, StatsArePopulated) {
   EXPECT_GT(result.rounds, 0u);
   EXPECT_GT(result.messages, 0u);
   EXPECT_GT(result.bytes, 0u);
+}
+
+/// Gemini has no MPI-RMA runtime: run_app refuses instead of running the
+/// THREAD_MULTIPLE MPI path under an RMA label.
+TEST(GeminiExtra, RejectsMpiRmaBackend) {
+  graph::Csr g = graph::rmat(5, 4.0);
+  bench::RunSpec spec;
+  spec.app = "bfs";
+  spec.engine = "gemini";
+  spec.backend = comm::BackendKind::MpiRma;
+  spec.hosts = 2;
+  EXPECT_THROW(bench::run_app(g, spec), std::invalid_argument);
 }
 
 }  // namespace

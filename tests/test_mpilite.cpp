@@ -1,17 +1,21 @@
 // Tests for mpilite two-sided semantics: matching, ordering, wildcards,
-// probe, rendezvous, collectives, thread modes.
+// probe, rendezvous, collectives, thread modes, personality lookup.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_support/runner.hpp"
 #include "fabric/fabric.hpp"
+#include "graph/generators.hpp"
 #include "mpilite/collectives.hpp"
 #include "mpilite/comm.hpp"
+#include "mpilite/personality.hpp"
 
 namespace lcr {
 namespace {
@@ -332,6 +336,40 @@ TEST(MpiFatal, UnexpectedBufferExhaustionThrows) {
         }
       },
       mpi::FatalMpiError);
+}
+
+TEST(Personality, NamesMapToTheirPersonalities) {
+  EXPECT_EQ(mpi::personality_by_name("default").name, "default");
+  EXPECT_EQ(mpi::personality_by_name("intelmpi").name, "intelmpi");
+  EXPECT_EQ(mpi::personality_by_name("mvapich").name, "mvapich");
+  EXPECT_EQ(mpi::personality_by_name("openmpi").name, "openmpi");
+  EXPECT_EQ(mpi::personality_by_name("openmpi").eager_limit,
+            mpi::openmpi_like().eager_limit);
+  EXPECT_EQ(mpi::personality_by_name("mvapich").rma_sync_cost_ns,
+            mpi::mvapich_like().rma_sync_cost_ns);
+}
+
+TEST(Personality, UnknownNameThrows) {
+  EXPECT_THROW(mpi::personality_by_name("intel"), std::invalid_argument);
+  EXPECT_THROW(mpi::personality_by_name(""), std::invalid_argument);
+}
+
+/// A typo in the personality must fail the run up front, not hang the
+/// cluster with one host's backend dead at construction.
+TEST(Personality, RunAppRejectsUnknownName) {
+  const graph::Csr g = graph::rmat(5, 4.0);
+  for (const comm::BackendKind backend :
+       {comm::BackendKind::MpiProbe, comm::BackendKind::MpiRma}) {
+    bench::RunSpec spec;
+    spec.app = "bfs";
+    spec.backend = backend;
+    spec.hosts = 2;
+    spec.mpi_personality = "intel";
+    EXPECT_THROW(bench::run_app(g, spec), std::invalid_argument);
+    spec.engine = "gemini";
+    if (backend == comm::BackendKind::MpiProbe)
+      EXPECT_THROW(bench::run_app(g, spec), std::invalid_argument);
+  }
 }
 
 }  // namespace

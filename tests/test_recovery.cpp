@@ -322,31 +322,6 @@ TEST_P(RecoveryFabric, PagerankKillMidIterationRecoversExactly) {
   expect_recovered(result, /*rollback=*/4);
 }
 
-TEST_P(RecoveryFabric, GeminiBfsKillAtRoundRecoversExactly) {
-  graph::Csr g = graph::rmat(6, 8.0);
-  bench::RunSpec spec = killed_spec(/*kill_round=*/1, /*interval=*/2);
-  spec.app = "bfs";
-  spec.engine = "gemini";
-  spec.source = bench::choose_source(g);
-  const auto result = bench::run_app(g, spec);
-  EXPECT_EQ(result.labels_u32, apps::reference_bfs(g, spec.source));
-  expect_recovered(result, /*rollback=*/0);
-}
-
-TEST_P(RecoveryFabric, GeminiPagerankKillRecoversExactly) {
-  graph::Csr g = graph::rmat(6, 8.0);
-  bench::RunSpec spec = killed_spec(/*kill_round=*/5, /*interval=*/4);
-  spec.app = "pagerank";
-  spec.engine = "gemini";
-  spec.pagerank_iters = 12;
-  const auto result = bench::run_app(g, spec);
-  const auto expected = apps::reference_pagerank(g, 0.85, 12, 0.0);
-  ASSERT_EQ(result.labels_f64.size(), expected.size());
-  for (std::size_t v = 0; v < expected.size(); ++v)
-    EXPECT_NEAR(result.labels_f64[v], expected[v], 1e-9) << "vertex " << v;
-  expect_recovered(result, /*rollback=*/4);
-}
-
 // ---------------------------------------------------------------------------
 // Kill-mid-put (DESIGN.md §15): with direct writes forced, every dense round
 // has one-sided puts in flight when the victim dies. The rebuilt engine
@@ -431,6 +406,40 @@ INSTANTIATE_TEST_SUITE_P(Backends, RecoveryFabric,
                          ::testing::Values(comm::BackendKind::Lci,
                                            comm::BackendKind::MpiProbe,
                                            comm::BackendKind::MpiRma),
+                         backend_name);
+
+// The Gemini engine runs on LCI and on its THREAD_MULTIPLE MPI backend
+// (BackendKind::MpiProbe); run_app rejects it on MPI-RMA.
+class GeminiRecoveryFabric : public RecoveryFabric {};
+
+TEST_P(GeminiRecoveryFabric, BfsKillAtRoundRecoversExactly) {
+  graph::Csr g = graph::rmat(6, 8.0);
+  bench::RunSpec spec = killed_spec(/*kill_round=*/1, /*interval=*/2);
+  spec.app = "bfs";
+  spec.engine = "gemini";
+  spec.source = bench::choose_source(g);
+  const auto result = bench::run_app(g, spec);
+  EXPECT_EQ(result.labels_u32, apps::reference_bfs(g, spec.source));
+  expect_recovered(result, /*rollback=*/0);
+}
+
+TEST_P(GeminiRecoveryFabric, PagerankKillRecoversExactly) {
+  graph::Csr g = graph::rmat(6, 8.0);
+  bench::RunSpec spec = killed_spec(/*kill_round=*/5, /*interval=*/4);
+  spec.app = "pagerank";
+  spec.engine = "gemini";
+  spec.pagerank_iters = 12;
+  const auto result = bench::run_app(g, spec);
+  const auto expected = apps::reference_pagerank(g, 0.85, 12, 0.0);
+  ASSERT_EQ(result.labels_f64.size(), expected.size());
+  for (std::size_t v = 0; v < expected.size(); ++v)
+    EXPECT_NEAR(result.labels_f64[v], expected[v], 1e-9) << "vertex " << v;
+  expect_recovered(result, /*rollback=*/4);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, GeminiRecoveryFabric,
+                         ::testing::Values(comm::BackendKind::Lci,
+                                           comm::BackendKind::MpiProbe),
                          backend_name);
 
 // ---------------------------------------------------------------------------
