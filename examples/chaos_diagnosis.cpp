@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
       "diagnosis bundle in %s/: %zu flows (%zu full recovery paths), "
       "%zu health findings, retransmits=%llu\n",
       out_dir.c_str(), flows.size(), full_path, result.health.findings.size(),
-      static_cast<unsigned long long>(result.rel_retransmits));
+      static_cast<unsigned long long>(result.telemetry.at("rel.retransmits")));
   for (const auto& f : result.health.findings)
     std::printf("  finding: %s host=%d phases=[%u,%u] severity=%.2f %s\n",
                 f.kind.c_str(), f.host, f.phase_lo, f.phase_hi, f.severity,

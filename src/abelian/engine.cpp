@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -418,16 +417,11 @@ void HostEngine::run_slice(const ApplySlice& slice) {
   }
   {
     telemetry::Span apply_span("abelian", "apply", graph_.host_id);
-    const auto t0 = std::chrono::steady_clock::now();
+    const rt::Timer timer;
     if (!(*job->scatter)(job->msg.src, job->header, job->msg.payload(),
                          slice.rec_lo, slice.rec_hi))
       job->rejected.store(true, std::memory_order_relaxed);
-    stats_.apply_ns.fetch_add(
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count()),
-        std::memory_order_relaxed);
+    stats_.apply_ns.fetch_add(timer.elapsed_ns(), std::memory_order_relaxed);
   }
   if (job->slices_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     // Last slice settles the chunk exactly once: one reject count however
@@ -896,15 +890,10 @@ void HostEngine::execute_phase(std::uint32_t pattern, std::size_t rec_bytes,
       comm::EncodedChunk enc;
       {
         telemetry::Span gather_span("abelian", "gather", me);
-        const auto t0 = std::chrono::steady_clock::now();
+        const rt::Timer timer;
         enc = gather(dst, lo, hi, reserve);
         auto& bucket = direct_this ? stats_.direct_ns : stats_.gather_ns;
-        bucket.fetch_add(
-            static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count()),
-            std::memory_order_relaxed);
+        bucket.fetch_add(timer.elapsed_ns(), std::memory_order_relaxed);
       }
 
       PeerProgress& pp = peer_progress[pi];
@@ -932,17 +921,13 @@ void HostEngine::execute_phase(std::uint32_t pattern, std::size_t rec_bytes,
           bool sent_direct = false;
           if (total <= direct_plan[pi].region.capacity) {
             telemetry::Span put_span("abelian", "direct_put", me);
-            const auto t0 = std::chrono::steady_clock::now();
+            const rt::Timer timer;
             sent_direct =
                 try_direct_put(dst, direct_plan[pi].region, lease, total,
                                spec.phase_id, spec.pattern_key, scatter,
                                can_apply);
-            stats_.direct_ns.fetch_add(
-                static_cast<std::uint64_t>(
-                    std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count()),
-                std::memory_order_relaxed);
+            stats_.direct_ns.fetch_add(timer.elapsed_ns(),
+                                       std::memory_order_relaxed);
           }
           if (sent_direct) {
             pp.directs_sent.store(1, std::memory_order_release);
@@ -988,15 +973,10 @@ void HostEngine::execute_phase(std::uint32_t pattern, std::size_t rec_bytes,
                 };
                 comm::EncodedChunk senc;
                 {
-                  const auto t0 = std::chrono::steady_clock::now();
+                  const rt::Timer timer;
                   senc = gather(dst, sub_lo, sub_hi, sub_reserve);
-                  stats_.gather_ns.fetch_add(
-                      static_cast<std::uint64_t>(
-                          std::chrono::duration_cast<
-                              std::chrono::nanoseconds>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count()),
-                      std::memory_order_relaxed);
+                  stats_.gather_ns.fetch_add(timer.elapsed_ns(),
+                                             std::memory_order_relaxed);
                 }
                 if (senc.records == 0) {
                   if (sub) {

@@ -8,7 +8,7 @@ std::vector<std::uint32_t> run_bfs(abelian::HostEngine& eng,
                                    graph::VertexId source,
                                    rt::RecoveryCtx* rec) {
   return run_push<BfsTraits>(
-      eng, source, std::numeric_limits<std::uint64_t>::max(), rec);
+      eng, source, RoundLoop::kNoCap, rec);
 }
 
 }  // namespace lcr::apps

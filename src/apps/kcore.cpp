@@ -3,13 +3,12 @@
 #include <deque>
 
 #include "apps/atomic_ops.hpp"
-#include "runtime/timer.hpp"
-#include "telemetry/trace.hpp"
+#include "apps/round_loop.hpp"
 
 namespace lcr::apps {
 
 std::vector<std::uint32_t> run_kcore(abelian::HostEngine& eng,
-                                     std::uint32_t k) {
+                                     std::uint32_t k, rt::RecoveryCtx* rec) {
   const graph::DistGraph& g = eng.graph();
   const std::size_t n = g.num_local;
 
@@ -23,13 +22,17 @@ std::vector<std::uint32_t> run_kcore(abelian::HostEngine& eng,
   rt::ConcurrentBitset dirty_delta(n);
   rt::ConcurrentBitset dirty_dead(n);
 
-  for (;;) {
-    telemetry::Span round_span("app", "round", g.host_id);
-    // --- 1. Masters decide removals from their authoritative degree ---
-    rt::Timer decide_timer;
+  // A round is decide -> termination -> peel. At its boundary the removal
+  // and delta transients are clear (dead_flag is only read where dirty_dead
+  // is set, and decide rewrites those), so deg + dead are the whole state.
+  RoundLoop loop(eng.cluster(), g.host_id, "app", eng.stats().compute_s, rec);
+  loop.persist(deg);
+  loop.persist(dead);
+
+  // --- 1. Masters decide removals from their authoritative degree ---
+  const auto decide = [&] {
     std::atomic<std::uint64_t> deaths{0};
-    {
-      telemetry::Span compute_span("app", "compute", g.host_id);
+    loop.compute([&] {
       eng.team().parallel_chunks(
           0, g.num_masters, [&](std::size_t lo, std::size_t hi, std::size_t) {
             for (std::size_t lid = lo; lid < hi; ++lid) {
@@ -42,14 +45,11 @@ std::vector<std::uint32_t> run_kcore(abelian::HostEngine& eng,
               }
             }
           });
-    }
-    eng.stats().compute_s += decide_timer.elapsed_s();
+    });
+    return deaths.load();
+  };
 
-    // Global fixed point: nobody died anywhere this round.
-    const std::uint64_t total_deaths =
-        eng.cluster().oob_allreduce_sum(deaths.load());
-    if (total_deaths == 0) break;
-
+  const auto peel = [&] {
     // --- 2. Broadcast removals so mirror proxies learn about them ---
     eng.sync_broadcast<std::uint32_t>(dead_flag.data(), dirty_dead,
                                       [&](graph::VertexId lid) {
@@ -58,9 +58,7 @@ std::vector<std::uint32_t> run_kcore(abelian::HostEngine& eng,
     dirty_dead.clear_all();
 
     // --- 3. Push decrements along the removed vertices' local out-edges ---
-    rt::Timer push_timer;
-    {
-      telemetry::Span compute_span("app", "compute", g.host_id);
+    loop.compute([&] {
       eng.team().parallel_chunks(
           0, n, [&](std::size_t lo, std::size_t hi, std::size_t) {
             newly_dead.for_each_in_range(lo, hi, [&](std::size_t lid) {
@@ -74,8 +72,7 @@ std::vector<std::uint32_t> run_kcore(abelian::HostEngine& eng,
             });
           });
       newly_dead.clear_all();
-    }
-    eng.stats().compute_s += push_timer.elapsed_s();
+    });
 
     // --- 4. Add-reduce decrement deltas from mirrors to masters ---
     eng.sync_reduce<std::uint32_t>(
@@ -88,9 +85,7 @@ std::vector<std::uint32_t> run_kcore(abelian::HostEngine& eng,
         [](graph::VertexId) {});
 
     // --- 5. Masters apply deltas; everyone resets round state ---
-    rt::Timer apply_timer;
-    {
-      telemetry::Span compute_span("app", "compute", g.host_id);
+    loop.compute([&] {
       eng.team().parallel_chunks(
           0, n, [&](std::size_t lo, std::size_t hi, std::size_t) {
             for (std::size_t lid = lo; lid < hi; ++lid) {
@@ -102,10 +97,13 @@ std::vector<std::uint32_t> run_kcore(abelian::HostEngine& eng,
             }
           });
       dirty_delta.clear_all();
-    }
-    eng.stats().compute_s += apply_timer.elapsed_s();
+    });
     eng.stats().rounds++;
-  }
+  };
+
+  // Global fixed point: nobody died anywhere this round.
+  loop.run(RoundLoop::kNoCap, decide,
+           [](std::uint64_t total_deaths) { return total_deaths == 0; }, peel);
 
   std::vector<std::uint32_t> alive(n);
   for (std::size_t lid = 0; lid < n; ++lid)

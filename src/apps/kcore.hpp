@@ -14,13 +14,15 @@
 #include <vector>
 
 #include "abelian/engine.hpp"
+#include "runtime/checkpoint.hpp"
 
 namespace lcr::apps {
 
 /// Runs distributed k-core; returns, per local vertex, 1 if it survives in
 /// the k-core and 0 otherwise. eng.stats() carries timings/rounds.
 std::vector<std::uint32_t> run_kcore(abelian::HostEngine& eng,
-                                     std::uint32_t k);
+                                     std::uint32_t k,
+                                     rt::RecoveryCtx* rec = nullptr);
 
 /// Sequential reference (peeling with a worklist).
 std::vector<std::uint32_t> reference_kcore(const graph::Csr& g,

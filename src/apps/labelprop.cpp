@@ -7,7 +7,7 @@ namespace lcr::apps {
 std::vector<std::uint32_t> run_labelprop(abelian::HostEngine& eng,
                                          rt::RecoveryCtx* rec) {
   return run_push<LabelPropTraits>(
-      eng, /*source=*/0, std::numeric_limits<std::uint64_t>::max(), rec);
+      eng, /*source=*/0, RoundLoop::kNoCap, rec);
 }
 
 }  // namespace lcr::apps

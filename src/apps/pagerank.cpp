@@ -1,15 +1,11 @@
 #include "apps/pagerank.hpp"
 
 #include <cmath>
-#include <cstring>
-#include <limits>
 #include <mutex>
 
 #include "abelian/sync.hpp"
 #include "apps/atomic_ops.hpp"
-#include "apps/pagerank_pull.hpp"
-#include "runtime/timer.hpp"
-#include "telemetry/trace.hpp"
+#include "apps/round_loop.hpp"
 
 namespace lcr::apps {
 
@@ -27,40 +23,17 @@ std::vector<double> run_pagerank(abelian::HostEngine& eng,
 
   const abelian::SyncPlan plan = abelian::plan_accumulate(g.policy);
 
-  std::uint32_t iter = 0;
-  std::uint32_t resumed_at = std::numeric_limits<std::uint32_t>::max();
-
-  // Recovery: the per-iteration transient state (contrib, accum, dirty
-  // sets) is rebuilt every round, so the checkpoint is just the rank vector.
-  if (rec != nullptr && rec->resume && rec->resume_round >= 0) {
-    std::vector<std::vector<std::uint8_t>> arrays;
-    if (rec->store->load(rec->host, rec->resume_round, arrays) &&
-        arrays.size() == 1 && arrays[0].size() == n_local * sizeof(double)) {
-      if (n_local > 0)
-        std::memcpy(rank.data(), arrays[0].data(), arrays[0].size());
-      iter = static_cast<std::uint32_t>(rec->resume_round);
-      resumed_at = iter;
-    }
-  }
-
-  for (; iter < opt.max_iterations; ++iter) {
-    eng.cluster().round_tick(g.host_id, static_cast<std::int64_t>(iter));
-    if (rec != nullptr && rec->interval > 0 &&
-        iter % static_cast<std::uint32_t>(rec->interval) == 0 &&
-        iter != resumed_at) {
-      rec->store->save(rec->host, static_cast<std::int64_t>(iter),
-                       {{rank.data(), n_local * sizeof(double)}});
-    }
-    telemetry::Span round_span("app", "round", g.host_id);
+  // The per-iteration transient state (contrib, accum, dirty sets) is
+  // rebuilt every round, so the checkpoint is just the rank vector.
+  RoundLoop loop(eng.cluster(), g.host_id, "app", eng.stats().compute_s, rec);
+  loop.persist(rank);
+  const auto step = [&] {
     // --- Computation: every local vertex pulls its in-neighbors'
     // contributions into its own accumulator (single writer per slot) ---
-    rt::Timer compute_timer;
-    {
-      telemetry::Span compute_span("app", "compute", g.host_id);
+    loop.compute([&] {
       pull_rank_contributions(eng.team(), g.in_edges, g.global_out_degree,
                               rank, contrib, accum, dirty);
-    }
-    eng.stats().compute_s += compute_timer.elapsed_s();
+    });
 
     // --- Reduce: Add dirty accumulator mirrors into masters (skipped when
     // the partition guarantees contributions land on masters, e.g. the
@@ -77,10 +50,8 @@ std::vector<double> run_pagerank(abelian::HostEngine& eng,
     }
 
     // --- Recompute masters, measure convergence ---
-    rt::Timer recompute_timer;
     double local_delta = 0.0;
-    {
-      telemetry::Span compute_span("app", "compute", g.host_id);
+    loop.compute([&] {
       rt::Spinlock delta_lock;
       rank_dirty.clear_all();
       eng.team().parallel_chunks(
@@ -96,8 +67,7 @@ std::vector<double> run_pagerank(abelian::HostEngine& eng,
             std::lock_guard<rt::Spinlock> guard(delta_lock);
             local_delta += delta;
           });
-    }
-    eng.stats().compute_s += recompute_timer.elapsed_s();
+    });
 
     // --- Broadcast new ranks to mirrors (vertex cuts only) ---
     if (plan.do_broadcast) {
@@ -106,10 +76,10 @@ std::vector<double> run_pagerank(abelian::HostEngine& eng,
     }
 
     eng.stats().rounds++;
-
-    const double global_delta = eng.cluster().oob_allreduce_sum(local_delta);
-    if (opt.tolerance > 0.0 && global_delta < opt.tolerance) break;
-  }
+    return local_delta;
+  };
+  loop.run(opt.max_iterations, step,
+           [&](double global_delta) { return opt.converged(global_delta); });
   return rank;
 }
 

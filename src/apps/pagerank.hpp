@@ -13,17 +13,10 @@
 #include <vector>
 
 #include "abelian/engine.hpp"
+#include "apps/pagerank_pull.hpp"
 #include "runtime/checkpoint.hpp"
 
 namespace lcr::apps {
-
-struct PagerankOptions {
-  double damping = 0.85;
-  /// Round cap; the paper runs "up to 100 iterations".
-  std::uint32_t max_iterations = 100;
-  /// Early-out when the global L1 rank delta falls below this (0 disables).
-  double tolerance = 1e-7;
-};
 
 /// Runs distributed PageRank; returns this host's local rank values.
 std::vector<double> run_pagerank(abelian::HostEngine& eng,

@@ -1,5 +1,6 @@
-// Owner-writes pull of PageRank contributions, shared by the Abelian and
-// Gemini PageRank kernels (DESIGN.md §4, "PageRank is an owner-writes pull").
+// PageRank options and the owner-writes pull of PageRank contributions,
+// shared by the Abelian and Gemini PageRank kernels (DESIGN.md §4,
+// "PageRank is an owner-writes pull").
 //
 // Pass 1 computes each source's contribution rank/out_degree once; pass 2
 // has every local vertex sum the contributions of its local in-neighbors
@@ -22,6 +23,19 @@
 #include "runtime/thread_team.hpp"
 
 namespace lcr::apps {
+
+struct PagerankOptions {
+  double damping = 0.85;
+  /// Round cap; the paper runs "up to 100 iterations".
+  std::uint32_t max_iterations = 100;
+  /// Early-out when the global L1 rank delta falls below this (0 disables).
+  double tolerance = 1e-7;
+
+  /// The termination rule over the cluster-wide L1 rank delta of a round.
+  bool converged(double global_delta) const {
+    return tolerance > 0.0 && global_delta < tolerance;
+  }
+};
 
 /// Fills accum[v] = 0.0 + sum of contrib[src] over in_edges(v) for every
 /// v < in_edges.num_nodes() (vertices without in-edges get 0.0), and leaves

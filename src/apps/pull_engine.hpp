@@ -15,22 +15,21 @@
 // driver, which the tests assert.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "abelian/engine.hpp"
 #include "abelian/sync.hpp"
 #include "apps/atomic_ops.hpp"
-#include "runtime/timer.hpp"
-#include "telemetry/trace.hpp"
+#include "apps/round_loop.hpp"
 
 namespace lcr::apps {
 
 template <typename Traits>
 std::vector<typename Traits::Label> run_pull(
     abelian::HostEngine& eng, graph::VertexId source,
-    std::uint64_t max_rounds = std::numeric_limits<std::uint64_t>::max()) {
+    std::uint64_t max_rounds = RoundLoop::kNoCap) {
   using Label = typename Traits::Label;
   const graph::DistGraph& g = eng.graph();
   const std::size_t n = g.num_local;
@@ -43,14 +42,12 @@ std::vector<typename Traits::Label> run_pull(
         g.local_to_global(static_cast<graph::VertexId>(lid)), source);
 
   const abelian::SyncPlan plan = abelian::plan_push_monotone(g.policy);
-  std::uint64_t round = 0;
-  for (; round < max_rounds; ++round) {
-    telemetry::Span round_span("app", "round", g.host_id);
+  RoundLoop loop(eng.cluster(), g.host_id, "app", eng.stats().compute_s,
+                 /*rec=*/nullptr);
+  loop.run(max_rounds, [&] {
     // --- Pull computation: re-evaluate every proxy from local in-edges ---
-    rt::Timer compute_timer;
     std::atomic<std::uint64_t> changed{0};
-    {
-      telemetry::Span compute_span("app", "compute", g.host_id);
+    loop.compute([&] {
       eng.team().parallel_chunks(
           0, n, [&](std::size_t lo, std::size_t hi, std::size_t) {
             for (std::size_t v = lo; v < hi; ++v) {
@@ -68,8 +65,7 @@ std::vector<typename Traits::Label> run_pull(
               }
             }
           });
-    }
-    eng.stats().compute_s += compute_timer.elapsed_s();
+    });
 
     // --- Partition-aware sync, same plan as push ---
     if (plan.do_reduce) {
@@ -91,11 +87,8 @@ std::vector<typename Traits::Label> run_pull(
     }
     dirty.clear_all();
     eng.stats().rounds++;
-
-    const std::uint64_t global_changed =
-        eng.cluster().oob_allreduce_sum(changed.load());
-    if (global_changed == 0) break;
-  }
+    return changed.load();
+  });
   return labels;
 }
 

@@ -9,16 +9,12 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
-#include <limits>
 #include <vector>
 
 #include "abelian/engine.hpp"
 #include "abelian/sync.hpp"
 #include "apps/atomic_ops.hpp"
-#include "runtime/checkpoint.hpp"
-#include "runtime/timer.hpp"
-#include "telemetry/trace.hpp"
+#include "apps/round_loop.hpp"
 
 namespace lcr::apps {
 
@@ -31,7 +27,7 @@ namespace lcr::apps {
 template <typename Traits>
 std::vector<typename Traits::Label> run_push(
     abelian::HostEngine& eng, graph::VertexId source,
-    std::uint64_t max_rounds = std::numeric_limits<std::uint64_t>::max(),
+    std::uint64_t max_rounds = RoundLoop::kNoCap,
     rt::RecoveryCtx* rec = nullptr) {
   using Label = typename Traits::Label;
   const graph::DistGraph& g = eng.graph();
@@ -57,46 +53,11 @@ std::vector<typename Traits::Label> run_push(
   }
 
   const abelian::SyncPlan plan = abelian::plan_push_monotone(g.policy);
-  std::uint64_t round = 0;
-  std::uint64_t resumed_at = std::numeric_limits<std::uint64_t>::max();
-
-  // Recovery: reload labels + active set from the last stable checkpoint
-  // and re-enter the sync loop at its round (DESIGN.md §13).
-  if (rec != nullptr && rec->resume && rec->resume_round >= 0) {
-    std::vector<std::vector<std::uint8_t>> arrays;
-    if (rec->store->load(rec->host, rec->resume_round, arrays) &&
-        arrays.size() == 2 && arrays[0].size() == n * sizeof(Label)) {
-      if (n > 0) std::memcpy(labels.data(), arrays[0].data(), arrays[0].size());
-      const auto* words =
-          reinterpret_cast<const std::uint64_t*>(arrays[1].data());
-      for (std::size_t wi = 0; wi < active.num_words(); ++wi)
-        active.set_word(wi, words[wi]);
-      round = static_cast<std::uint64_t>(rec->resume_round);
-      resumed_at = round;
-    }
-  }
-
-  for (; round < max_rounds; ++round) {
-    // Round boundary: fire scheduled kills / abort on pending failure, then
-    // checkpoint every K rounds (labels + active set; the arrays are
-    // quiescent here, so the staging copy needs no locks).
-    eng.cluster().round_tick(g.host_id, static_cast<std::int64_t>(round));
-    if (rec != nullptr && rec->interval > 0 &&
-        round % static_cast<std::uint64_t>(rec->interval) == 0 &&
-        round != resumed_at) {
-      static_assert(sizeof(std::atomic<std::uint64_t>) ==
-                    sizeof(std::uint64_t));
-      rec->store->save(
-          rec->host, static_cast<std::int64_t>(round),
-          {{labels.data(), n * sizeof(Label)},
-           {static_cast<const void*>(active.words_data()),
-            active.num_words() * sizeof(std::uint64_t)}});
-    }
-    telemetry::Span round_span("app", "round", g.host_id);
-    // --- Computation phase (timed separately for the Fig-6 breakdown) ---
-    rt::Timer compute_timer;
-    {
-      telemetry::Span compute_span("app", "compute", g.host_id);
+  RoundLoop loop(eng.cluster(), g.host_id, "app", eng.stats().compute_s, rec);
+  loop.persist(labels);
+  loop.persist(active);
+  loop.run(max_rounds, [&] {
+    loop.compute([&] {
       frontier.clear_all();
       active.for_each([&](std::size_t lid) { frontier.set(lid); });
       active.clear_all();
@@ -117,8 +78,7 @@ std::vector<typename Traits::Label> run_push(
                   });
             });
           });
-    }
-    eng.stats().compute_s += compute_timer.elapsed_s();
+    });
 
     // --- Communication phase: partition-aware sync ---
     if (plan.do_reduce) {
@@ -140,13 +100,9 @@ std::vector<typename Traits::Label> run_push(
     }
     dirty.clear_all();
     eng.stats().rounds++;
-
-    // --- Termination: all nodes quiescent everywhere ---
-    const std::uint64_t global_active =
-        eng.cluster().oob_allreduce_sum(
-            static_cast<std::uint64_t>(active.count()));
-    if (global_active == 0) break;
-  }
+    // Terminates when all nodes are quiescent everywhere.
+    return static_cast<std::uint64_t>(active.count());
+  });
   return labels;
 }
 

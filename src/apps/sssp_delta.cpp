@@ -5,20 +5,20 @@
 
 #include "abelian/sync.hpp"
 #include "apps/atomic_ops.hpp"
-#include "apps/sssp.hpp"
-#include "runtime/timer.hpp"
-#include "telemetry/trace.hpp"
+#include "apps/round_loop.hpp"
 
 namespace lcr::apps {
 
 namespace {
 constexpr std::uint32_t kInf = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint64_t kNone = ~std::uint64_t{0};
 }
 
 std::vector<std::uint32_t> run_sssp_delta(abelian::HostEngine& eng,
                                           graph::VertexId source,
                                           std::uint32_t delta,
-                                          DeltaSsspStats* stats) {
+                                          DeltaSsspStats* stats,
+                                          rt::RecoveryCtx* rec) {
   const graph::DistGraph& g = eng.graph();
   const std::size_t n = g.num_local;
 
@@ -53,8 +53,14 @@ std::vector<std::uint32_t> run_sssp_delta(abelian::HostEngine& eng,
   std::uint64_t buckets = 0;
   std::uint64_t bucket = 0;  // current bucket index
 
-  for (;;) {
-    // --- Settle the current bucket to a fixed point ---
+  // A driver round settles one bucket; frontier and dirty are clear at its
+  // boundary, so dist + active + the bucket index are the whole state.
+  RoundLoop loop(eng.cluster(), g.host_id, "app", eng.stats().compute_s, rec);
+  loop.persist(dist);
+  loop.persist(active);
+  loop.persist(bucket);
+
+  const auto settle_bucket = [&] {
     const std::uint64_t threshold =
         (bucket + 1) * static_cast<std::uint64_t>(delta);
     for (;;) {
@@ -72,10 +78,7 @@ std::vector<std::uint32_t> run_sssp_delta(abelian::HostEngine& eng,
           eng.cluster().oob_allreduce_sum(in_bucket);
       if (global_in_bucket == 0) break;
 
-      telemetry::Span round_span("app", "round", g.host_id);
-      rt::Timer compute_timer;
-      {
-        telemetry::Span compute_span("app", "compute", g.host_id);
+      loop.compute([&] {
         eng.team().parallel_chunks(
             0, n, [&](std::size_t lo, std::size_t hi, std::size_t) {
               frontier.for_each_in_range(lo, hi, [&](std::size_t lid) {
@@ -92,8 +95,7 @@ std::vector<std::uint32_t> run_sssp_delta(abelian::HostEngine& eng,
                     });
               });
             });
-      }
-      eng.stats().compute_s += compute_timer.elapsed_s();
+      });
 
       if (plan.do_reduce) {
         eng.sync_reduce<std::uint32_t>(
@@ -117,16 +119,18 @@ std::vector<std::uint32_t> run_sssp_delta(abelian::HostEngine& eng,
     }
     ++buckets;
 
-    // --- Advance to the next non-empty bucket, globally agreed ---
-    std::uint64_t local_min = ~std::uint64_t{0};
+    // The next non-empty bucket is the min active distance, agreed globally.
+    std::uint64_t local_min = kNone;
     active.for_each([&](std::size_t lid) {
       local_min = std::min(local_min, static_cast<std::uint64_t>(dist[lid]));
     });
-    const std::uint64_t global_min =
-        eng.cluster().oob_allreduce_min(local_min);
-    if (global_min == ~std::uint64_t{0}) break;  // no active vertex anywhere
+    return RoundLoop::Min{local_min};
+  };
+  loop.run(RoundLoop::kNoCap, settle_bucket, [&](std::uint64_t global_min) {
+    if (global_min == kNone) return true;  // no active vertex anywhere
     bucket = global_min / delta;
-  }
+    return false;
+  });
 
   if (stats != nullptr) {
     stats->buckets = buckets;

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "abelian/engine.hpp"
+#include "runtime/checkpoint.hpp"
 
 namespace lcr::apps {
 
@@ -32,6 +33,7 @@ struct DeltaSsspStats {
 std::vector<std::uint32_t> run_sssp_delta(abelian::HostEngine& eng,
                                           graph::VertexId source,
                                           std::uint32_t delta = 0,
-                                          DeltaSsspStats* stats = nullptr);
+                                          DeltaSsspStats* stats = nullptr,
+                                          rt::RecoveryCtx* rec = nullptr);
 
 }  // namespace lcr::apps

@@ -56,6 +56,94 @@ void write_masters(const graph::DistGraph& g, const std::vector<Label>& local,
     global[g.local_to_global(lid)] = local[lid];
 }
 
+/// An entry point's arguments besides its engine; put() stores the host's
+/// master labels (or PageRank ranks) into the global result.
+struct AppCall {
+  const RunSpec& spec;
+  rt::RecoveryCtx* rec;
+  RunResult& result;
+
+  void put(const graph::DistGraph& g,
+           const std::vector<std::uint32_t>& local) const {
+    write_masters(g, local, result.labels_u32);
+  }
+  void put(const graph::DistGraph& g, const std::vector<double>& local) const {
+    write_masters(g, local, result.labels_f64);
+  }
+  apps::PagerankOptions pagerank() const {
+    return {.max_iterations = spec.pagerank_iters,
+            .tolerance = spec.pagerank_tol};
+  }
+};
+
+template <typename Traits>
+void gemini_push(gemini::GeminiHost& h, const AppCall& c) {
+  c.put(h.graph(), h.run_push<Traits>(c.spec.source, c.rec));
+}
+
+/// One runner app: its label type, the sync plan its warm-up exercises,
+/// and its entry point on each engine (none: the app is Abelian-only).
+struct AppEntry {
+  const char* name;
+  bool ranks;  // double PageRank ranks instead of u32 labels
+  abelian::SyncPlan (*warmup_plan)(graph::PartitionPolicy);
+  void (*abelian)(abelian::HostEngine&, const AppCall&);
+  void (*gemini)(gemini::GeminiHost&, const AppCall&);
+};
+
+const AppEntry kApps[] = {
+    {"bfs", false, abelian::plan_push_monotone,
+     [](abelian::HostEngine& e, const AppCall& c) {
+       c.put(e.graph(), apps::run_bfs(e, c.spec.source, c.rec));
+     },
+     gemini_push<apps::BfsTraits>},
+    {"cc", false, abelian::plan_push_monotone,
+     [](abelian::HostEngine& e, const AppCall& c) {
+       c.put(e.graph(), apps::run_cc(e, c.rec));
+     },
+     gemini_push<apps::CcTraits>},
+    {"labelprop", false, abelian::plan_push_monotone,
+     [](abelian::HostEngine& e, const AppCall& c) {
+       c.put(e.graph(), apps::run_labelprop(e, c.rec));
+     },
+     gemini_push<apps::LabelPropTraits>},
+    {"sssp", false, abelian::plan_push_monotone,
+     [](abelian::HostEngine& e, const AppCall& c) {
+       c.put(e.graph(), apps::run_sssp(e, c.spec.source, c.rec));
+     },
+     gemini_push<apps::SsspTraits>},
+    {"pagerank", true, abelian::plan_accumulate,
+     [](abelian::HostEngine& e, const AppCall& c) {
+       c.put(e.graph(), apps::run_pagerank(e, c.pagerank(), c.rec));
+     },
+     [](gemini::GeminiHost& h, const AppCall& c) {
+       c.put(h.graph(), h.run_pagerank(c.pagerank(), c.rec));
+     }},
+    {"kcore", false,
+     [](graph::PartitionPolicy) { return abelian::SyncPlan{true, true}; },
+     [](abelian::HostEngine& e, const AppCall& c) {
+       c.put(e.graph(), apps::run_kcore(e, c.spec.kcore_k, c.rec));
+     },
+     nullptr},
+    {"sssp_delta", false, abelian::plan_push_monotone,
+     [](abelian::HostEngine& e, const AppCall& c) {
+       c.put(e.graph(),
+             apps::run_sssp_delta(e, c.spec.source, 0, nullptr, c.rec));
+     },
+     nullptr},
+};
+
+const AppEntry& find_app(const RunSpec& spec, bool is_gemini) {
+  for (const AppEntry& app : kApps) {
+    if (spec.app != app.name) continue;
+    if (is_gemini && app.gemini == nullptr)
+      throw std::invalid_argument("the gemini engine does not run " +
+                                  spec.app);
+    return app;
+  }
+  throw std::invalid_argument("unknown app: " + spec.app);
+}
+
 /// Untimed warm-up: run one empty sync round with the app's patterns and
 /// datatype. This mirrors the paper's measurement protocol ("RMA window
 /// creation time is excluded in MPI-RMA results") and warms every backend's
@@ -72,13 +160,10 @@ void warmup_sync(abelian::HostEngine& eng, const abelian::SyncPlan& plan) {
     eng.sync_broadcast<Label>(scratch.data(), clean, [](graph::VertexId) {});
 }
 
-void warmup_engine(abelian::HostEngine& eng, const std::string& app,
+void warmup_engine(abelian::HostEngine& eng, const AppEntry& app,
                    graph::PartitionPolicy policy) {
-  abelian::SyncPlan plan = app == "pagerank"
-                               ? abelian::plan_accumulate(policy)
-                               : abelian::plan_push_monotone(policy);
-  if (app == "kcore") plan = abelian::SyncPlan{true, true};
-  if (app == "pagerank")
+  const abelian::SyncPlan plan = app.warmup_plan(policy);
+  if (app.ranks)
     warmup_sync<double>(eng, plan);
   else
     warmup_sync<std::uint32_t>(eng, plan);
@@ -88,6 +173,40 @@ void warmup_engine(abelian::HostEngine& eng, const std::string& app,
   eng.stats().phases = 0;
   eng.stats().messages_sent.store(0);
   eng.stats().bytes_sent.store(0);
+}
+
+abelian::EngineConfig abelian_config(const RunSpec& spec,
+                                     rt::MemTracker& tracker) {
+  abelian::EngineConfig cfg;
+  cfg.backend = spec.backend;
+  cfg.backend_options.tracker = &tracker;
+  cfg.backend_options.mpi_personality = spec.mpi_personality;
+  cfg.backend_options.aggregation_timeout_us = spec.aggregation_timeout_us;
+  cfg.backend_options.lci_lanes = spec.lci_lanes;
+  cfg.backend_options.lci_servers = spec.lci_servers;
+  cfg.compute_threads = spec.threads;
+  cfg.apply_workers = spec.apply_workers;
+  cfg.direct_write = spec.direct_write;
+  if (spec.apply_slice_records != 0)
+    cfg.apply_slice_records = spec.apply_slice_records;
+  return cfg;
+}
+
+gemini::GeminiConfig gemini_config(const RunSpec& spec,
+                                   rt::MemTracker& tracker) {
+  gemini::GeminiConfig cfg;
+  cfg.comm = spec.backend == comm::BackendKind::Lci
+                 ? gemini::CommKind::Lci
+                 : gemini::CommKind::MpiProbeMulti;
+  cfg.compute_threads = spec.threads;
+  cfg.mpi_personality = spec.mpi_personality;
+  cfg.tracker = &tracker;
+  cfg.dense_threshold = spec.gemini_dense_threshold;
+  cfg.batch_bytes = spec.gemini_batch_bytes;
+  cfg.lci_lanes = spec.lci_lanes;
+  cfg.lci_servers = spec.lci_servers;
+  cfg.direct_write = spec.direct_write;
+  return cfg;
 }
 
 /// Accounts the rounds of work a recovery threw away: the victim had
@@ -113,6 +232,7 @@ RunResult run_app(const graph::Csr& g, const RunSpec& spec) {
   if (is_gemini && spec.backend == comm::BackendKind::MpiRma)
     throw std::invalid_argument(
         "the gemini engine runs on lci or mpi-probe, not mpi-rma");
+  const AppEntry& app = find_app(spec, is_gemini);
   const graph::PartitionPolicy policy =
       is_gemini ? graph::PartitionPolicy::BlockedEdgeCut : spec.policy;
 
@@ -133,8 +253,7 @@ RunResult run_app(const graph::Csr& g, const RunSpec& spec) {
 
   RunResult result;
   result.peak_mem.assign(static_cast<std::size_t>(spec.hosts), 0);
-  const bool is_pagerank = spec.app == "pagerank";
-  if (is_pagerank)
+  if (app.ranks)
     result.labels_f64.assign(g.num_nodes(), 0.0);
   else
     result.labels_u32.assign(g.num_nodes(), 0);
@@ -147,7 +266,7 @@ RunResult run_app(const graph::Csr& g, const RunSpec& spec) {
     const graph::DistGraph& part = parts[hs];
     HostOutcome& out = outcomes[hs];
 
-    // Recovery context: every driver checkpoints through the cluster store;
+    // Recovery context: every app checkpoints through the cluster store;
     // after a failure the retry loop flips `resume` and re-enters the app at
     // the rollback round (DESIGN.md §13). All hosts abort / recover / resume
     // in lockstep, so the collective call sequence stays aligned.
@@ -156,170 +275,71 @@ RunResult run_app(const graph::Csr& g, const RunSpec& spec) {
     rec.host = hs;
     rec.interval = spec.ckpt_interval;
 
-    bool first_attempt = true;
+    // One engine per attempt: the spec's engine, rebuilt after a failure.
+    std::unique_ptr<abelian::HostEngine> eng;
+    std::unique_ptr<gemini::GeminiHost> gem;
     std::uint64_t measure_start_ns = 0;
     std::uint64_t fail_ns = 0;
-
-    if (is_gemini) {
-      gemini::GeminiConfig cfg;
-      cfg.comm = spec.backend == comm::BackendKind::Lci
-                     ? gemini::CommKind::Lci
-                     : gemini::CommKind::MpiProbeMulti;
-      cfg.compute_threads = spec.threads;
-      cfg.mpi_personality = spec.mpi_personality;
-      cfg.tracker = &trackers[hs];
-      cfg.dense_threshold = spec.gemini_dense_threshold;
-      cfg.batch_bytes = spec.gemini_batch_bytes;
-      cfg.lci_lanes = spec.lci_lanes;
-      cfg.lci_servers = spec.lci_servers;
-      cfg.direct_write = spec.direct_write;
-
-      std::unique_ptr<gemini::GeminiHost> host;
-      for (;;) {
-        try {
-          host = std::make_unique<gemini::GeminiHost>(cluster, part, cfg);
-          cluster.oob_barrier();
-          // Setup spans must not pollute the measured trace (mirrors the
-          // stats zeroing warmup_engine does for the abelian path).
-          if (h == 0 && first_attempt) telemetry::reset_trace();
-          cluster.oob_barrier();
-          if (measure_start_ns == 0) measure_start_ns = rt::now_ns();
-          if (fail_ns != 0) {
-            out.recovery_s +=
-                static_cast<double>(rt::now_ns() - fail_ns) * 1e-9;
-            fail_ns = 0;
-          }
-          if (spec.app == "bfs") {
-            auto labels = host->run_push<apps::BfsTraits>(spec.source, &rec);
-            write_masters(part, labels, result.labels_u32);
-          } else if (spec.app == "cc") {
-            auto labels = host->run_push<apps::CcTraits>(0, &rec);
-            write_masters(part, labels, result.labels_u32);
-          } else if (spec.app == "labelprop") {
-            auto labels =
-                host->run_push<apps::LabelPropTraits>(0, &rec);
-            write_masters(part, labels, result.labels_u32);
-          } else if (spec.app == "sssp") {
-            auto labels = host->run_push<apps::SsspTraits>(spec.source, &rec);
-            write_masters(part, labels, result.labels_u32);
-          } else if (spec.app == "pagerank") {
-            auto ranks = host->run_pagerank(0.85, spec.pagerank_iters,
-                                            spec.pagerank_tol, &rec);
-            write_masters(part, ranks, result.labels_f64);
-          } else {
-            throw std::invalid_argument("unknown app: " + spec.app);
-          }
-          break;
-        } catch (const comm::HostKilledError&) {
-          fail_ns = rt::now_ns();
-        } catch (const comm::PeerFailedError&) {
-          fail_ns = rt::now_ns();
-        }
-        first_attempt = false;
-        const std::uint64_t rounds_at_fail = host ? host->stats().rounds : 0;
-        host.reset();  // tear down before re-admission (endpoint detach)
-        rec.resume = true;
-        rec.resume_round = cluster.recover(h);
-        if (h == 0)
-          note_rollback_rounds(cluster.fabric().telemetry(), rounds_at_fail,
-                               rec.resume_round);
-      }
-      out.total_s =
-          static_cast<double>(rt::now_ns() - measure_start_ns) * 1e-9;
-      cluster.oob_barrier();
-      // Snapshot the registry while every host's engine (and therefore
-      // every layer's probe registration) is still alive; the trailing
-      // barrier keeps peers from tearing down early.
-      if (h == 0) result.telemetry = cluster.fabric().telemetry().snapshot();
-      cluster.oob_barrier();
-      out.compute_s = host->stats().compute_s;
-      out.comm_s = host->stats().comm_s;
-      out.rounds = host->stats().rounds;
-      out.messages = host->stats().messages.load();
-      out.bytes = host->stats().bytes.load();
-      return;
-    }
-
-    abelian::EngineConfig cfg;
-    cfg.backend = spec.backend;
-    cfg.backend_options.tracker = &trackers[hs];
-    cfg.backend_options.mpi_personality = spec.mpi_personality;
-    cfg.backend_options.aggregation_timeout_us = spec.aggregation_timeout_us;
-    cfg.backend_options.lci_lanes = spec.lci_lanes;
-    cfg.backend_options.lci_servers = spec.lci_servers;
-    cfg.compute_threads = spec.threads;
-    cfg.apply_workers = spec.apply_workers;
-    cfg.direct_write = spec.direct_write;
-    if (spec.apply_slice_records != 0)
-      cfg.apply_slice_records = spec.apply_slice_records;
-
-    std::unique_ptr<abelian::HostEngine> eng;
-    for (;;) {
+    for (bool first_attempt = true;; first_attempt = false) {
       try {
-        eng = std::make_unique<abelian::HostEngine>(cluster, part, cfg);
-        warmup_engine(*eng, spec.app, policy);
+        if (is_gemini) {
+          gem = std::make_unique<gemini::GeminiHost>(
+              cluster, part, gemini_config(spec, trackers[hs]));
+        } else {
+          eng = std::make_unique<abelian::HostEngine>(
+              cluster, part, abelian_config(spec, trackers[hs]));
+          warmup_engine(*eng, app, policy);
+        }
         cluster.oob_barrier();
-        if (h == 0 && first_attempt)
-          telemetry::reset_trace();  // drop warm-up spans
+        // Set-up and warm-up spans must not pollute the measured trace.
+        if (h == 0 && first_attempt) telemetry::reset_trace();
         cluster.oob_barrier();
         if (measure_start_ns == 0) measure_start_ns = rt::now_ns();
         if (fail_ns != 0) {
-          out.recovery_s +=
-              static_cast<double>(rt::now_ns() - fail_ns) * 1e-9;
+          out.recovery_s += static_cast<double>(rt::now_ns() - fail_ns) * 1e-9;
           fail_ns = 0;
         }
-        if (spec.app == "bfs") {
-          auto labels = apps::run_bfs(*eng, spec.source, &rec);
-          write_masters(part, labels, result.labels_u32);
-        } else if (spec.app == "cc") {
-          auto labels = apps::run_cc(*eng, &rec);
-          write_masters(part, labels, result.labels_u32);
-        } else if (spec.app == "labelprop") {
-          auto labels = apps::run_labelprop(*eng, &rec);
-          write_masters(part, labels, result.labels_u32);
-        } else if (spec.app == "sssp") {
-          auto labels = apps::run_sssp(*eng, spec.source, &rec);
-          write_masters(part, labels, result.labels_u32);
-        } else if (spec.app == "pagerank") {
-          apps::PagerankOptions opt;
-          opt.max_iterations = spec.pagerank_iters;
-          opt.tolerance = spec.pagerank_tol;
-          auto ranks = apps::run_pagerank(*eng, opt, &rec);
-          write_masters(part, ranks, result.labels_f64);
-        } else if (spec.app == "kcore") {
-          auto alive = apps::run_kcore(*eng, spec.kcore_k);
-          write_masters(part, alive, result.labels_u32);
-        } else if (spec.app == "sssp_delta") {
-          auto labels = apps::run_sssp_delta(*eng, spec.source);
-          write_masters(part, labels, result.labels_u32);
-        } else {
-          throw std::invalid_argument("unknown app: " + spec.app);
-        }
+        const AppCall call{spec, &rec, result};
+        if (is_gemini)
+          app.gemini(*gem, call);
+        else
+          app.abelian(*eng, call);
         break;
       } catch (const comm::HostKilledError&) {
         fail_ns = rt::now_ns();
       } catch (const comm::PeerFailedError&) {
         fail_ns = rt::now_ns();
       }
-      first_attempt = false;
-      const std::uint64_t rounds_at_fail = eng ? eng->stats().rounds : 0;
-      eng.reset();  // tear down before re-admission (endpoint detach)
+      const std::uint64_t rounds_at_fail =
+          gem ? gem->stats().rounds : eng ? eng->stats().rounds : 0;
+      gem.reset();  // tear down before re-admission (endpoint detach)
+      eng.reset();
       rec.resume = true;
       rec.resume_round = cluster.recover(h);
       if (h == 0)
         note_rollback_rounds(cluster.fabric().telemetry(), rounds_at_fail,
                              rec.resume_round);
     }
-    out.total_s =
-        static_cast<double>(rt::now_ns() - measure_start_ns) * 1e-9;
+    out.total_s = static_cast<double>(rt::now_ns() - measure_start_ns) * 1e-9;
     cluster.oob_barrier();
+    // Snapshot the registry while every host's engine (and therefore every
+    // layer's probe registration) is still alive; the trailing barrier keeps
+    // peers from tearing down early.
     if (h == 0) result.telemetry = cluster.fabric().telemetry().snapshot();
     cluster.oob_barrier();
-    out.compute_s = eng->stats().compute_s;
-    out.comm_s = eng->stats().comm_s;
-    out.rounds = eng->stats().rounds;
-    out.messages = eng->stats().messages_sent.load();
-    out.bytes = eng->stats().bytes_sent.load();
+    if (is_gemini) {
+      out.compute_s = gem->stats().compute_s;
+      out.comm_s = gem->stats().comm_s;
+      out.rounds = gem->stats().rounds;
+      out.messages = gem->stats().messages.load();
+      out.bytes = gem->stats().bytes.load();
+    } else {
+      out.compute_s = eng->stats().compute_s;
+      out.comm_s = eng->stats().comm_s;
+      out.rounds = eng->stats().rounds;
+      out.messages = eng->stats().messages_sent.load();
+      out.bytes = eng->stats().bytes_sent.load();
+    }
   });
 
   // Second snapshot pass: engine-owned probes (lci.*, abelian.*, ...) died
@@ -345,35 +365,6 @@ RunResult run_app(const graph::Csr& g, const RunSpec& spec) {
     if (const char* env = std::getenv("LCR_HEALTH_OUT")) health_out = env;
   if (!health_out.empty()) cluster.health().write_json(health_out);
 
-  // The registry aggregates same-name probes across all endpoints/hosts, so
-  // one snapshot replaces the per-endpoint, per-field copy loop this used
-  // to hand-maintain. The named fields stay as views of the map.
-  const auto tv = [&result](const char* name) -> std::uint64_t {
-    const auto it = result.telemetry.find(name);
-    return it == result.telemetry.end() ? 0 : it->second;
-  };
-  result.wire_sends = tv("fabric.sends");
-  result.wire_puts = tv("fabric.puts");
-  result.wire_bytes = tv("fabric.bytes_tx");
-  result.wire_soft_retries = tv("fabric.retries_no_rx") +
-                             tv("fabric.retries_throttled") +
-                             tv("fabric.retries_cq_full");
-  result.faults_dropped = tv("fault.dropped");
-  result.faults_duplicated = tv("fault.duplicated");
-  result.faults_corrupted = tv("fault.corrupted");
-  result.faults_delayed = tv("fault.delayed");
-  result.faults_reordered = tv("fault.reordered");
-  result.rel_data_tx = tv("rel.data_tx");
-  result.rel_retransmits = tv("rel.retransmits");
-  result.rel_probes = tv("rel.probes_tx");
-  result.rel_acks_tx = tv("rel.acks_tx");
-  result.rel_acks_rx = tv("rel.acks_rx");
-  result.rel_delivered = tv("rel.delivered");
-  result.rel_dup_dropped = tv("rel.dup_dropped");
-  result.rel_crc_dropped = tv("rel.crc_dropped");
-  result.rel_ooo_held = tv("rel.ooo_held");
-  result.rel_ooo_dropped = tv("rel.ooo_dropped");
-  result.rel_stall_dumps = tv("rel.stall_dumps");
   for (int h = 0; h < spec.hosts; ++h) {
     const auto hs = static_cast<std::size_t>(h);
     result.total_s = std::max(result.total_s, outcomes[hs].total_s);

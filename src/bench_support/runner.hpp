@@ -87,34 +87,11 @@ struct RunResult {
   std::uint64_t bytes = 0;
   /// Peak communication-buffer working set per host (Fig 5).
   std::vector<std::uint64_t> peak_mem;
-  /// Fabric-level totals across hosts (wire traffic introspection).
-  std::uint64_t wire_sends = 0;
-  std::uint64_t wire_puts = 0;
-  std::uint64_t wire_bytes = 0;
-  std::uint64_t wire_soft_retries = 0;  // NoRxBuffer + Throttled + CqFull
-  /// Injected-fault totals across hosts (zero on a reliable fabric).
-  std::uint64_t faults_dropped = 0;
-  std::uint64_t faults_duplicated = 0;
-  std::uint64_t faults_corrupted = 0;
-  std::uint64_t faults_delayed = 0;
-  std::uint64_t faults_reordered = 0;
-  /// Reliability-protocol totals across hosts (zero in passthrough mode).
-  std::uint64_t rel_data_tx = 0;
-  std::uint64_t rel_retransmits = 0;
-  std::uint64_t rel_probes = 0;
-  std::uint64_t rel_acks_tx = 0;
-  std::uint64_t rel_acks_rx = 0;
-  std::uint64_t rel_delivered = 0;
-  std::uint64_t rel_dup_dropped = 0;
-  std::uint64_t rel_crc_dropped = 0;
-  std::uint64_t rel_ooo_held = 0;
-  std::uint64_t rel_ooo_dropped = 0;
-  std::uint64_t rel_stall_dumps = 0;
   /// Full snapshot of the cluster fabric's telemetry registry, taken while
   /// every host engine was still alive (so it includes the per-layer probes:
   /// lci.*, mpilite.*, abelian.*, gemini.*, plus "<name>.count"/"<name>.sum"
-  /// per histogram). The wire_*/faults_*/rel_* fields above are views
-  /// derived from this map, kept for source compatibility.
+  /// per histogram). Same-name probes are summed across endpoints and hosts,
+  /// e.g. "fabric.sends", "fault.dropped", "rel.retransmits".
   std::map<std::string, std::uint64_t> telemetry;
   /// Fail-stop recovery observables (all zero / empty on an unfailed run).
   std::uint64_t kills = 0;       // fail-stop kills injected during the run
@@ -138,8 +115,8 @@ struct RunResult {
 /// Runs `spec` on `g`. For cc the caller should pass a symmetrized graph.
 /// The gemini engine forces BlockedEdgeCut and runs on Lci or MpiProbe
 /// (the latter as Gemini's THREAD_MULTIPLE MPI). Throws
-/// std::invalid_argument for gemini on MpiRma and for an unknown
-/// mpi_personality.
+/// std::invalid_argument for an unknown app or mpi_personality, for gemini
+/// on MpiRma, and for gemini with an Abelian-only app (kcore, sssp_delta).
 RunResult run_app(const graph::Csr& g, const RunSpec& spec);
 
 /// Picks a well-connected source (max out-degree vertex).

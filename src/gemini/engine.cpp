@@ -4,7 +4,6 @@
 #include <cmath>
 #include <mutex>
 
-#include "apps/pagerank_pull.hpp"
 #include "comm/mpi_multi_backend.hpp"
 #include "runtime/cpu_relax.hpp"
 
@@ -139,9 +138,7 @@ GeminiHost::~GeminiHost() {
   direct_homes_.clear();
 }
 
-std::vector<double> GeminiHost::run_pagerank(double damping,
-                                             std::uint32_t max_iterations,
-                                             double tolerance,
+std::vector<double> GeminiHost::run_pagerank(apps::PagerankOptions opt,
                                              rt::RecoveryCtx* rec) {
   const graph::VertexId mlo =
       g_.master_bounds[static_cast<std::size_t>(g_.host_id)];
@@ -166,38 +163,15 @@ std::vector<double> GeminiHost::run_pagerank(double damping,
         apps::atomic_add(accum[gid - mlo], value);
       };
 
-  std::uint32_t iter = 0;
-  std::uint32_t resumed_at = std::numeric_limits<std::uint32_t>::max();
-
-  // Recovery: per-iteration transients (accum, contrib, partial, touched) are
-  // rebuilt every round, so the checkpoint is just the master rank vector.
-  if (rec != nullptr && rec->resume && rec->resume_round >= 0) {
-    std::vector<std::vector<std::uint8_t>> arrays;
-    if (rec->store->load(rec->host, rec->resume_round, arrays) &&
-        arrays.size() == 1 && arrays[0].size() == n_masters * sizeof(double)) {
-      if (n_masters > 0)
-        std::memcpy(rank.data(), arrays[0].data(), arrays[0].size());
-      iter = static_cast<std::uint32_t>(rec->resume_round);
-      resumed_at = iter;
-    }
-  }
-
-  for (; iter < max_iterations; ++iter) {
-    cluster_.round_tick(g_.host_id, static_cast<std::int64_t>(iter));
-    if (rec != nullptr && rec->interval > 0 &&
-        iter % static_cast<std::uint32_t>(rec->interval) == 0 &&
-        iter != resumed_at) {
-      rec->store->save(rec->host, static_cast<std::int64_t>(iter),
-                       {{rank.data(), n_masters * sizeof(double)}});
-    }
-    rt::Timer combine_timer;
-    {
-      telemetry::Span compute_span("gemini", "compute",
-                                   static_cast<std::uint32_t>(g_.host_id));
+  // Per-iteration transients (accum, contrib, partial, touched) are rebuilt
+  // every round, so the checkpoint is just the master rank vector.
+  apps::RoundLoop loop(cluster_, g_.host_id, "gemini", stats_.compute_s, rec);
+  loop.persist(rank);
+  const auto step = [&] {
+    loop.compute([&] {
       apps::pull_rank_contributions(*team_, g_.in_edges, g_.global_out_degree,
                                     rank, contrib, partial, touched);
-    }
-    stats_.compute_s += combine_timer.elapsed_s();
+    });
 
     // Pagerank is dense every round: the whole per-destination frame goes
     // out as one direct put when the peer's region resolves (DESIGN.md §15).
@@ -226,14 +200,16 @@ std::vector<double> GeminiHost::run_pagerank(double damping,
 
     double local_delta = 0.0;
     for (std::size_t i = 0; i < n_masters; ++i) {
-      const double next = (1.0 - damping) / n_global + damping * accum[i];
+      const double next =
+          (1.0 - opt.damping) / n_global + opt.damping * accum[i];
       local_delta += std::abs(next - rank[i]);
       rank[i] = next;
       accum[i] = 0.0;
     }
-    const double global_delta = cluster_.oob_allreduce_sum(local_delta);
-    if (tolerance > 0.0 && global_delta < tolerance) break;
-  }
+    return local_delta;
+  };
+  loop.run(opt.max_iterations, step,
+           [&](double global_delta) { return opt.converged(global_delta); });
   return rank;
 }
 

@@ -37,6 +37,8 @@
 
 #include "abelian/cluster.hpp"
 #include "apps/atomic_ops.hpp"
+#include "apps/pagerank_pull.hpp"
+#include "apps/round_loop.hpp"
 #include "comm/backend.hpp"
 #include "comm/message.hpp"
 #include "comm/stream_ledger.hpp"
@@ -132,9 +134,7 @@ class GeminiHost {
                                                rt::RecoveryCtx* rec = nullptr);
 
   /// Topology-driven pagerank over master vertices.
-  std::vector<double> run_pagerank(double damping = 0.85,
-                                   std::uint32_t max_iterations = 100,
-                                   double tolerance = 1e-7,
+  std::vector<double> run_pagerank(apps::PagerankOptions opt = {},
                                    rt::RecoveryCtx* rec = nullptr);
 
  private:
@@ -641,38 +641,10 @@ std::vector<typename Traits::Label> GeminiHost::run_push(
         }
       };
 
-  std::int64_t round = 0;
-  std::int64_t resumed_at = -1;
-
-  // Recovery: reload master labels + active set from the last stable
-  // checkpoint and re-enter the round loop there (DESIGN.md §13).
-  if (rec != nullptr && rec->resume && rec->resume_round >= 0) {
-    std::vector<std::vector<std::uint8_t>> arrays;
-    if (rec->store->load(rec->host, rec->resume_round, arrays) &&
-        arrays.size() == 2 &&
-        arrays[0].size() == n_masters * sizeof(Label)) {
-      if (n_masters > 0)
-        std::memcpy(labels.data(), arrays[0].data(), arrays[0].size());
-      const auto* words =
-          reinterpret_cast<const std::uint64_t*>(arrays[1].data());
-      for (std::size_t wi = 0; wi < active.num_words(); ++wi)
-        active.set_word(wi, words[wi]);
-      round = rec->resume_round;
-      resumed_at = round;
-    }
-  }
-
-  for (;; ++round) {
-    // Round boundary: fire scheduled kills / abort on pending failure, then
-    // checkpoint every K rounds (labels + active set are quiescent here).
-    cluster_.round_tick(g_.host_id, round);
-    if (rec != nullptr && rec->interval > 0 && round % rec->interval == 0 &&
-        round != resumed_at) {
-      rec->store->save(rec->host, round,
-                       {{labels.data(), n_masters * sizeof(Label)},
-                        {static_cast<const void*>(active.words_data()),
-                         active.num_words() * sizeof(std::uint64_t)}});
-    }
+  apps::RoundLoop loop(cluster_, g_.host_id, "gemini", stats_.compute_s, rec);
+  loop.persist(labels);
+  loop.persist(active);
+  loop.run(apps::RoundLoop::kNoCap, [&] {
     frontier.clear_all();
     std::size_t frontier_edges = 0;
     active.for_each([&](std::size_t i) {
@@ -723,14 +695,10 @@ std::vector<typename Traits::Label> GeminiHost::run_push(
       stats_.dense_rounds++;
       if (private_slots.empty() && team_->size() > 1)
         private_slots = make_private_slots<Traits>(team_->size(), n_local);
-      rt::Timer combine_timer;
-      {
-        telemetry::Span compute_span("gemini", "compute",
-                                     static_cast<std::uint32_t>(g_.host_id));
+      loop.compute([&] {
         dense_combine<Traits>(*team_, g_.out_edges, frontier, labels,
                               combined, private_slots, touched);
-      }
-      stats_.compute_s += combine_timer.elapsed_s();
+      });
       // Direct-write fan-out (DESIGN.md §15): ship each peer's combined
       // frame as one one-sided put; peers it reached are skipped by the
       // streaming producers below (direct_skip_), the rest stream as usual.
@@ -760,11 +728,8 @@ std::vector<typename Traits::Label> GeminiHost::run_push(
       // rewrites `touched` whole.
       touched.for_each([&](std::size_t dst) { combined[dst] = Traits::kInf; });
     }
-
-    const std::uint64_t global_active = cluster_.oob_allreduce_sum(
-        static_cast<std::uint64_t>(active.count()));
-    if (global_active == 0) break;
-  }
+    return static_cast<std::uint64_t>(active.count());
+  });
   return labels;
 }
 

@@ -1,8 +1,8 @@
 #include "runtime/cpu_relax.hpp"
 
-#include <chrono>
 #include <thread>
 
+#include "runtime/timer.hpp"
 #include "runtime/ult.hpp"
 
 namespace lcr::rt {
@@ -19,9 +19,8 @@ void thread_yield() noexcept {
 
 void spin_for_ns(std::uint64_t ns) noexcept {
   if (ns == 0) return;
-  const auto start = std::chrono::steady_clock::now();
-  const auto deadline = start + std::chrono::nanoseconds(ns);
-  while (std::chrono::steady_clock::now() < deadline) cpu_pause();
+  const std::uint64_t deadline = now_ns() + ns;
+  while (now_ns() < deadline) cpu_pause();
 }
 
 }  // namespace lcr::rt

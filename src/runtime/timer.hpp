@@ -1,4 +1,5 @@
-// Wall-clock timing helpers used by engines and benchmarks.
+// Wall-clock timing helpers used by engines and benchmarks. now_ns() is the
+// runtime's one time source: Timer, spin_for_ns and every span read it.
 #pragma once
 
 #include <chrono>
@@ -34,20 +35,6 @@ class Timer {
 
  private:
   std::uint64_t start_;
-};
-
-/// Accumulates time over repeated start/stop sections (per-phase breakdowns).
-class AccumTimer {
- public:
-  void start() noexcept { start_ = now_ns(); }
-  void stop() noexcept { total_ += now_ns() - start_; }
-  std::uint64_t total_ns() const noexcept { return total_; }
-  double total_s() const noexcept { return static_cast<double>(total_) * 1e-9; }
-  void reset() noexcept { total_ = 0; }
-
- private:
-  std::uint64_t start_ = 0;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace lcr::rt

@@ -118,7 +118,7 @@ TEST_P(LossyParallelApply, BfsExactUnderLoss) {
   spec.fabric = fcfg;
   const auto result = bench::run_app(g, spec);
   EXPECT_EQ(result.labels_u32, apps::reference_bfs(g, spec.source));
-  EXPECT_GT(result.faults_dropped, 0u);
+  EXPECT_GT(result.telemetry.at("fault.dropped"), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, LossyParallelApply,

@@ -464,7 +464,8 @@ TEST_P(DirectWriteChaos, BfsExactUnderLossWithForcedDirectWrites) {
   spec.fabric.fault.dup_rate = drop / 5.0;
   const bench::RunResult r = bench::run_app(g, spec);
   EXPECT_EQ(r.labels_u32, apps::reference_bfs(g, spec.source));
-  EXPECT_GT(r.faults_dropped, 0u) << "chaos config injected no loss";
+  EXPECT_GT(r.telemetry.at("fault.dropped"), 0u)
+      << "chaos config injected no loss";
   const auto it = r.telemetry.find("sync.direct_sends");
   EXPECT_GT(it == r.telemetry.end() ? 0 : it->second, 0u);
 }

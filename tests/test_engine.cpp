@@ -123,8 +123,8 @@ TEST(Engine, RunnerCollectsWireCounters) {
   spec.hosts = 3;
   spec.source = bench::choose_source(g);
   const auto result = bench::run_app(g, spec);
-  EXPECT_GT(result.wire_sends, 0u);
-  EXPECT_GT(result.wire_bytes, 0u);
+  EXPECT_GT(result.telemetry.at("fabric.sends"), 0u);
+  EXPECT_GT(result.telemetry.at("fabric.bytes_tx"), 0u);
 }
 
 TEST(Engine, ClusterPropagatesHostExceptions) {

@@ -122,11 +122,11 @@ class LossyFabric : public ::testing::TestWithParam<
   /// any fault was rolled at all is probabilistic at 1% on tiny graphs, so
   /// loss + recovery is only asserted at the 5% rate.
   void expect_protocol_ran(const bench::RunResult& r) const {
-    EXPECT_GT(r.rel_data_tx, 0u);
-    EXPECT_GT(r.rel_acks_rx, 0u);
+    EXPECT_GT(r.telemetry.at("rel.data_tx"), 0u);
+    EXPECT_GT(r.telemetry.at("rel.acks_rx"), 0u);
     if (std::get<1>(GetParam()) >= 0.05) {
-      EXPECT_GT(r.faults_dropped, 0u);
-      EXPECT_GT(r.rel_retransmits, 0u);
+      EXPECT_GT(r.telemetry.at("fault.dropped"), 0u);
+      EXPECT_GT(r.telemetry.at("rel.retransmits"), 0u);
     }
   }
 };
@@ -226,7 +226,7 @@ TEST_P(ForcedFormatChaos, BfsExactUnderLoss) {
   spec.source = bench::choose_source(g);
   const auto result = bench::run_app(g, spec);
   EXPECT_EQ(result.labels_u32, apps::reference_bfs(g, spec.source));
-  EXPECT_GT(result.rel_retransmits, 0u);
+  EXPECT_GT(result.telemetry.at("rel.retransmits"), 0u);
 }
 
 TEST_P(ForcedFormatChaos, CcExactUnderLoss) {

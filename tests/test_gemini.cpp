@@ -308,5 +308,18 @@ TEST(GeminiExtra, RejectsMpiRmaBackend) {
   EXPECT_THROW(bench::run_app(g, spec), std::invalid_argument);
 }
 
+/// kcore and sssp_delta have no Gemini entry point in the runner's app
+/// table: run_app refuses them up front, like an unknown app.
+TEST(GeminiExtra, RejectsAbelianOnlyApps) {
+  graph::Csr g = graph::rmat(5, 4.0);
+  bench::RunSpec spec;
+  spec.engine = "gemini";
+  spec.hosts = 2;
+  for (const char* app : {"kcore", "sssp_delta", "nope"}) {
+    spec.app = app;
+    EXPECT_THROW(bench::run_app(g, spec), std::invalid_argument) << app;
+  }
+}
+
 }  // namespace
 }  // namespace lcr

@@ -611,7 +611,8 @@ TEST_P(TracedLossyRun, FlowShowsDropRetransmitDeliverApply) {
 
   const auto result = bench::run_app(g, spec);
   EXPECT_EQ(result.labels_u32, apps::reference_bfs(g, spec.source));
-  EXPECT_GT(result.rel_retransmits, 0u) << "lossy fabric never retransmitted";
+  EXPECT_GT(result.telemetry.at("rel.retransmits"), 0u)
+      << "lossy fabric never retransmitted";
 
   // Acceptance: at least one sampled message's stitched cross-host flow
   // shows the full post -> drop -> retransmit -> deliver -> apply life.
@@ -675,6 +676,48 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, TracedLossyRun,
                                return "mpi_probe";
                              default: return "mpi_rma";
                            }
+                         });
+
+// ---------------------------------------------------------------------------
+// Round driver spans: the termination collective of every round is spanned
+// on both engines, so no host's round ends in untraced time.
+// ---------------------------------------------------------------------------
+
+class RoundDriverSpans : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(RoundDriverSpans, OneTerminateSpanPerRoundPerHost) {
+  telemetry::set_enabled(true);
+  telemetry::reset_trace();
+  graph::Csr g = graph::rmat(8, 8.0);
+  bench::RunSpec spec;
+  spec.app = "bfs";
+  spec.engine = GetParam();
+  spec.hosts = 4;
+  spec.source = bench::choose_source(g);
+  const auto result = bench::run_app(g, spec);
+  const auto events = telemetry::collect_trace();
+  telemetry::set_enabled(false);
+  telemetry::reset_trace();
+
+  EXPECT_EQ(result.labels_u32, apps::reference_bfs(g, spec.source));
+  ASSERT_GT(result.rounds, 1u);
+  std::vector<std::uint64_t> terminate(4, 0);
+  std::vector<std::uint64_t> round_tick(4, 0);
+  for (const auto& e : events) {
+    if (std::strcmp(e.cat, "app") != 0 || e.pid >= 4) continue;
+    if (std::strcmp(e.name, "terminate") == 0) ++terminate[e.pid];
+    if (std::strcmp(e.name, "round_tick") == 0) ++round_tick[e.pid];
+  }
+  for (std::uint32_t h = 0; h < 4; ++h) {
+    EXPECT_EQ(terminate[h], result.rounds) << "host " << h;
+    EXPECT_EQ(round_tick[h], result.rounds) << "host " << h;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, RoundDriverSpans,
+                         ::testing::Values("abelian", "gemini"),
+                         [](const auto& info) {
+                           return std::string(info.param);
                          });
 
 // ---------------------------------------------------------------------------

@@ -11,11 +11,13 @@
 
 #include <cstdint>
 #include <cstring>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
 
+#include "apps/kcore.hpp"
 #include "apps/reference.hpp"
 #include "bench_support/runner.hpp"
 #include "comm/membership.hpp"
@@ -245,82 +247,141 @@ TEST(FaultProfileFormat, ToStringIncludesKillSchedule) {
 
 // ---------------------------------------------------------------------------
 // End-to-end: kill host 1 at round R, recover from the last checkpoint,
-// converge to the exact unfailed answer. Parameterized over backends.
+// converge to the exact unfailed answer.
 // ---------------------------------------------------------------------------
 
-class RecoveryFabric : public ::testing::TestWithParam<comm::BackendKind> {
- protected:
-  bench::RunSpec killed_spec(std::int64_t kill_round,
-                             std::int64_t interval) const {
-    bench::RunSpec spec;
-    spec.backend = GetParam();
-    spec.hosts = 4;
-    spec.ckpt_interval = interval;
-    spec.fabric.fault.kill_host = 1;
-    spec.fabric.fault.kill_at_round = kill_round;
-    return spec;
+void expect_recovered(const bench::RunResult& r, std::int64_t rollback) {
+  EXPECT_EQ(r.kills, 1u);
+  EXPECT_GE(r.recoveries, 1u);
+  EXPECT_EQ(r.rollback_round, rollback);
+  ASSERT_GE(r.recovery_events.size(), 3u);
+  EXPECT_EQ(r.recovery_events.front().kind, comm::RecoveryEvent::Kind::Kill);
+  EXPECT_EQ(r.recovery_events.front().host, 1);
+  EXPECT_EQ(r.recovery_events.back().kind,
+            comm::RecoveryEvent::Kind::Readmit);
+  EXPECT_EQ(r.recovery_events.back().host, 1);
+  EXPECT_GE(r.recovery_events.back().epoch, 1u);
+}
+
+std::string backend_name(comm::BackendKind kind) {
+  switch (kind) {
+    case comm::BackendKind::Lci: return "lci";
+    case comm::BackendKind::MpiProbe: return "mpi_probe";
+    default: return "mpi_rma";
   }
-  static void expect_recovered(const bench::RunResult& r,
-                               std::int64_t rollback) {
-    EXPECT_EQ(r.kills, 1u);
-    EXPECT_GE(r.recoveries, 1u);
-    EXPECT_EQ(r.rollback_round, rollback);
-    ASSERT_GE(r.recovery_events.size(), 3u);
-    EXPECT_EQ(r.recovery_events.front().kind,
-              comm::RecoveryEvent::Kind::Kill);
-    EXPECT_EQ(r.recovery_events.front().host, 1);
-    EXPECT_EQ(r.recovery_events.back().kind,
-              comm::RecoveryEvent::Kind::Readmit);
-    EXPECT_EQ(r.recovery_events.back().host, 1);
-    EXPECT_GE(r.recovery_events.back().epoch, 1u);
-  }
+}
+
+bench::RunSpec killed_spec(comm::BackendKind backend, std::int64_t kill_round,
+                           std::int64_t interval) {
+  bench::RunSpec spec;
+  spec.backend = backend;
+  spec.hosts = 4;
+  spec.ckpt_interval = interval;
+  spec.fabric.fault.kill_host = 1;
+  spec.fabric.fault.kill_at_round = kill_round;
+  return spec;
+}
+
+// Every runner app recovers through the one round driver, so a scheduled
+// kill must fire in each of them on every engine and backend it runs on.
+// Per app: the input, where the kill lands and the checkpoint it must roll
+// back to. A kill at a checkpoint round dies before staging that round's
+// snapshot, so the cluster falls back to the previous one.
+struct AppKillPlan {
+  int scale;
+  bool symmetric;  // cc / labelprop / kcore are defined on undirected graphs
+  bool weighted;
+  graph::PartitionPolicy policy;
+  std::int64_t kill_round;
+  std::int64_t interval;
+  std::int64_t rollback;
 };
 
-TEST_P(RecoveryFabric, BfsKillAtRoundRecoversExactly) {
-  graph::Csr g = graph::rmat(6, 8.0);
-  bench::RunSpec spec = killed_spec(/*kill_round=*/1, /*interval=*/2);
-  spec.app = "bfs";
+AppKillPlan kill_plan(const std::string& app) {
+  using P = graph::PartitionPolicy;
+  if (app == "bfs") return {6, false, false, P::CartesianVertexCut, 1, 2, 0};
+  if (app == "cc") return {6, true, false, P::OutgoingEdgeCut, 1, 2, 0};
+  if (app == "labelprop") return {7, true, false, P::OutgoingEdgeCut, 2, 2, 0};
+  if (app == "sssp") return {6, false, true, P::CartesianVertexCut, 4, 2, 2};
+  if (app == "pagerank")
+    return {6, false, false, P::CartesianVertexCut, 7, 4, 4};
+  // kcore peels and sssp_delta settles one bucket per round; unit weights
+  // make every BFS level its own bucket, so both run several rounds.
+  if (app == "kcore") return {7, true, false, P::CartesianVertexCut, 2, 1, 1};
+  return {7, true, false, P::CartesianVertexCut, 2, 1, 1};  // sssp_delta
+}
+
+struct KillCase {
+  const char* app;
+  const char* engine;
+  comm::BackendKind backend;
+};
+
+void PrintTo(const KillCase& c, std::ostream* os) {
+  *os << c.app << " on " << c.engine << " x " << backend_name(c.backend);
+}
+
+class KillAtRound : public ::testing::TestWithParam<KillCase> {};
+
+TEST_P(KillAtRound, RecoversExactly) {
+  const KillCase& c = GetParam();
+  const std::string app = c.app;
+  const AppKillPlan plan = kill_plan(app);
+  graph::GenOptions gen;
+  gen.make_weights = plan.weighted;
+  graph::Csr g = graph::rmat(plan.scale, 8.0, gen);
+  if (plan.symmetric) g = graph::symmetrize(g);
+
+  bench::RunSpec spec = killed_spec(c.backend, plan.kill_round, plan.interval);
+  spec.app = app;
+  spec.engine = c.engine;
+  spec.policy = plan.policy;
   spec.source = bench::choose_source(g);
-  const auto result = bench::run_app(g, spec);
-  EXPECT_EQ(result.labels_u32, apps::reference_bfs(g, spec.source));
-  expect_recovered(result, /*rollback=*/0);
-}
-
-TEST_P(RecoveryFabric, CcKillAtRoundRecoversExactly) {
-  graph::Csr g = graph::symmetrize(graph::rmat(6, 8.0));
-  bench::RunSpec spec = killed_spec(/*kill_round=*/1, /*interval=*/2);
-  spec.app = "cc";
-  spec.policy = graph::PartitionPolicy::OutgoingEdgeCut;
-  const auto result = bench::run_app(g, spec);
-  EXPECT_EQ(result.labels_u32, apps::reference_cc(g));
-  expect_recovered(result, /*rollback=*/0);
-}
-
-TEST_P(RecoveryFabric, LabelpropKillAtCheckpointRoundRecoversExactly) {
-  graph::Csr g = graph::symmetrize(graph::rmat(7, 8.0));
-  // Kill exactly at a checkpoint round: the victim dies before staging its
-  // round-2 snapshot, so the cluster must roll all the way back to round 0
-  // even though survivors may already hold a round-2 checkpoint.
-  bench::RunSpec spec = killed_spec(/*kill_round=*/2, /*interval=*/2);
-  spec.app = "labelprop";
-  spec.policy = graph::PartitionPolicy::OutgoingEdgeCut;
-  const auto result = bench::run_app(g, spec);
-  EXPECT_EQ(result.labels_u32, apps::reference_labelprop(g));
-  expect_recovered(result, /*rollback=*/0);
-}
-
-TEST_P(RecoveryFabric, PagerankKillMidIterationRecoversExactly) {
-  graph::Csr g = graph::rmat(6, 8.0);
-  bench::RunSpec spec = killed_spec(/*kill_round=*/7, /*interval=*/4);
-  spec.app = "pagerank";
   spec.pagerank_iters = 16;
   const auto result = bench::run_app(g, spec);
-  const auto expected = apps::reference_pagerank(g, 0.85, 16, 0.0);
-  ASSERT_EQ(result.labels_f64.size(), expected.size());
-  for (std::size_t v = 0; v < expected.size(); ++v)
-    EXPECT_NEAR(result.labels_f64[v], expected[v], 1e-9) << "vertex " << v;
-  expect_recovered(result, /*rollback=*/4);
+
+  if (app == "pagerank") {
+    const auto expected = apps::reference_pagerank(g, 0.85, 16, 0.0);
+    ASSERT_EQ(result.labels_f64.size(), expected.size());
+    for (std::size_t v = 0; v < expected.size(); ++v)
+      EXPECT_NEAR(result.labels_f64[v], expected[v], 1e-9) << "vertex " << v;
+  } else if (app == "bfs") {
+    EXPECT_EQ(result.labels_u32, apps::reference_bfs(g, spec.source));
+  } else if (app == "cc") {
+    EXPECT_EQ(result.labels_u32, apps::reference_cc(g));
+  } else if (app == "labelprop") {
+    EXPECT_EQ(result.labels_u32, apps::reference_labelprop(g));
+  } else if (app == "kcore") {
+    EXPECT_EQ(result.labels_u32, apps::reference_kcore(g, spec.kcore_k));
+  } else {  // sssp, sssp_delta
+    EXPECT_EQ(result.labels_u32, apps::reference_sssp(g, spec.source));
+  }
+  expect_recovered(result, plan.rollback);
 }
+
+std::vector<KillCase> kill_cases() {
+  std::vector<KillCase> cases;
+  for (const char* app : {"bfs", "cc", "labelprop", "sssp", "pagerank",
+                          "kcore", "sssp_delta"})
+    for (const auto backend :
+         {comm::BackendKind::Lci, comm::BackendKind::MpiProbe,
+          comm::BackendKind::MpiRma})
+      cases.push_back({app, "abelian", backend});
+  // Gemini runs on LCI and on its THREAD_MULTIPLE MPI backend
+  // (BackendKind::MpiProbe); kcore and sssp_delta are Abelian-only.
+  for (const char* app : {"bfs", "cc", "labelprop", "sssp", "pagerank"})
+    for (const auto backend :
+         {comm::BackendKind::Lci, comm::BackendKind::MpiProbe})
+      cases.push_back({app, "gemini", backend});
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, KillAtRound, ::testing::ValuesIn(kill_cases()),
+    [](const ::testing::TestParamInfo<KillCase>& info) {
+      return std::string(info.param.app) + "_" + info.param.engine + "_" +
+             backend_name(info.param.backend);
+    });
 
 // ---------------------------------------------------------------------------
 // Kill-mid-put (DESIGN.md §15): with direct writes forced, every dense round
@@ -331,9 +392,12 @@ TEST_P(RecoveryFabric, PagerankKillMidIterationRecoversExactly) {
 // rounds cover puts dying before, during and after the first checkpoint.
 // ---------------------------------------------------------------------------
 
+class RecoveryFabric : public ::testing::TestWithParam<comm::BackendKind> {};
+
 TEST_P(RecoveryFabric, DirectWriteBfsEarlyKillRecoversExactly) {
   graph::Csr g = graph::rmat(6, 8.0);
-  bench::RunSpec spec = killed_spec(/*kill_round=*/1, /*interval=*/2);
+  bench::RunSpec spec =
+      killed_spec(GetParam(), /*kill_round=*/1, /*interval=*/2);
   spec.app = "bfs";
   spec.direct_write = comm::DirectWriteMode::Forced;
   spec.source = bench::choose_source(g);
@@ -347,7 +411,8 @@ TEST_P(RecoveryFabric, DirectWriteBfsEarlyKillRecoversExactly) {
 
 TEST_P(RecoveryFabric, DirectWritePagerankMidKillRecoversExactly) {
   graph::Csr g = graph::rmat(6, 8.0);
-  bench::RunSpec spec = killed_spec(/*kill_round=*/7, /*interval=*/4);
+  bench::RunSpec spec =
+      killed_spec(GetParam(), /*kill_round=*/7, /*interval=*/4);
   spec.app = "pagerank";
   spec.direct_write = comm::DirectWriteMode::Forced;
   spec.pagerank_iters = 16;
@@ -366,7 +431,8 @@ TEST_P(RecoveryFabric, DirectWriteSsspLateKillRecoversExactly) {
   graph::GenOptions opt;
   opt.make_weights = true;
   graph::Csr g = graph::rmat(6, 8.0, opt);
-  bench::RunSpec spec = killed_spec(/*kill_round=*/4, /*interval=*/2);
+  bench::RunSpec spec =
+      killed_spec(GetParam(), /*kill_round=*/4, /*interval=*/2);
   spec.app = "sssp";
   spec.direct_write = comm::DirectWriteMode::Forced;
   spec.source = bench::choose_source(g);
@@ -383,7 +449,8 @@ TEST_P(RecoveryFabric, DirectWriteSsspLateKillRecoversExactly) {
 /// restart (stable_round == -1): recovery must still converge exactly.
 TEST_P(RecoveryFabric, KillBeforeAnyCheckpointForcesCleanRestart) {
   graph::Csr g = graph::rmat(6, 8.0);
-  bench::RunSpec spec = killed_spec(/*kill_round=*/1, /*interval=*/0);
+  bench::RunSpec spec =
+      killed_spec(GetParam(), /*kill_round=*/1, /*interval=*/0);
   spec.app = "bfs";
   spec.source = bench::choose_source(g);
   const auto result = bench::run_app(g, spec);
@@ -393,54 +460,13 @@ TEST_P(RecoveryFabric, KillBeforeAnyCheckpointForcesCleanRestart) {
   EXPECT_EQ(result.rollback_round, -1);
 }
 
-std::string backend_name(
-    const ::testing::TestParamInfo<comm::BackendKind>& info) {
-  switch (info.param) {
-    case comm::BackendKind::Lci: return "lci";
-    case comm::BackendKind::MpiProbe: return "mpi_probe";
-    default: return "mpi_rma";
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Backends, RecoveryFabric,
                          ::testing::Values(comm::BackendKind::Lci,
                                            comm::BackendKind::MpiProbe,
                                            comm::BackendKind::MpiRma),
-                         backend_name);
-
-// The Gemini engine runs on LCI and on its THREAD_MULTIPLE MPI backend
-// (BackendKind::MpiProbe); run_app rejects it on MPI-RMA.
-class GeminiRecoveryFabric : public RecoveryFabric {};
-
-TEST_P(GeminiRecoveryFabric, BfsKillAtRoundRecoversExactly) {
-  graph::Csr g = graph::rmat(6, 8.0);
-  bench::RunSpec spec = killed_spec(/*kill_round=*/1, /*interval=*/2);
-  spec.app = "bfs";
-  spec.engine = "gemini";
-  spec.source = bench::choose_source(g);
-  const auto result = bench::run_app(g, spec);
-  EXPECT_EQ(result.labels_u32, apps::reference_bfs(g, spec.source));
-  expect_recovered(result, /*rollback=*/0);
-}
-
-TEST_P(GeminiRecoveryFabric, PagerankKillRecoversExactly) {
-  graph::Csr g = graph::rmat(6, 8.0);
-  bench::RunSpec spec = killed_spec(/*kill_round=*/5, /*interval=*/4);
-  spec.app = "pagerank";
-  spec.engine = "gemini";
-  spec.pagerank_iters = 12;
-  const auto result = bench::run_app(g, spec);
-  const auto expected = apps::reference_pagerank(g, 0.85, 12, 0.0);
-  ASSERT_EQ(result.labels_f64.size(), expected.size());
-  for (std::size_t v = 0; v < expected.size(); ++v)
-    EXPECT_NEAR(result.labels_f64[v], expected[v], 1e-9) << "vertex " << v;
-  expect_recovered(result, /*rollback=*/4);
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, GeminiRecoveryFabric,
-                         ::testing::Values(comm::BackendKind::Lci,
-                                           comm::BackendKind::MpiProbe),
-                         backend_name);
+                         [](const auto& info) {
+                           return backend_name(info.param);
+                         });
 
 // ---------------------------------------------------------------------------
 // Determinism: same seed -> same kill point, same recovery trace, same
