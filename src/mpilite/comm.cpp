@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <mutex>
 
 #include "mpilite/rma.hpp"
 #include "runtime/cpu_relax.hpp"
@@ -258,7 +259,7 @@ void Comm::progress() {
   // lock is cheap in deployed MPIs too, so only the raw lock is taken here
   // - no per-call overhead or contention surcharge.
   if (thread_level_ == ThreadLevel::Multiple) {
-    std::lock_guard<std::mutex> guard(lock_);
+    std::lock_guard<rt::Spinlock> guard(lock_);
     progress_locked();
   } else {
     progress_locked();

@@ -30,7 +30,6 @@
 #include <functional>
 #include <list>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -40,6 +39,7 @@
 #include "mpilite/personality.hpp"
 #include "mpilite/types.hpp"
 #include "runtime/mem_tracker.hpp"
+#include "runtime/spinlock.hpp"
 
 namespace lcr::mpi {
 
@@ -244,7 +244,12 @@ class Comm {
   std::size_t eager_limit_;
   fabric::ReliableChannel channel_;
 
-  std::mutex lock_;  // global lock under ThreadLevel::Multiple
+  // Global lock under ThreadLevel::Multiple. A spinlock, not a std::mutex:
+  // its critical sections take nested rt::Spinlocks (channel, endpoint,
+  // direct handler) whose contended Backoff yields the holder's fiber, so a
+  // waiter must yield its fiber too rather than block its ULT worker - the
+  // holder may be queued on that very worker (DESIGN.md §16).
+  rt::Spinlock lock_;
 
   // Internal receive buffers (slab + slot bookkeeping).
   std::unique_ptr<std::byte[]> rx_slab_;

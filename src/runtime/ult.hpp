@@ -27,10 +27,12 @@
 //     (telemetry trace rings, serializer scratch, LCI lane bindings) by
 //     simulated-host identity instead of OS-thread identity.
 //
-// Locking rule (DESIGN.md §16): never yield or park while holding a lock.
-// Critical sections in this repo are short and yield-free; a fiber that
-// suspended while holding a lock could deadlock every fiber multiplexed onto
-// the same worker.
+// Locking rule (DESIGN.md §16): never yield or park while holding a lock
+// whose waiters block their OS thread (std::mutex): the waiter would put the
+// whole worker to sleep, possibly with the holder queued on it. A critical
+// section that can yield (it reaches rt::Backoff, e.g. through a contended
+// nested rt::Spinlock) must be guarded by an rt::Spinlock, whose waiters
+// yield their fiber instead.
 //
 // The context switch is a hand-rolled x86-64 System V switch (callee-saved
 // GPRs + mxcsr/x87 control word + rsp). ASan fiber annotations

@@ -29,7 +29,12 @@ struct ThreadBuffer {
   std::uint32_t tid = 0;
 };
 
-std::mutex g_buffers_mu;
+// Guards the ring list. A spinlock, not a std::mutex: the collectors take
+// each ring's spinlock inside it, and a contended one yields the collector's
+// fiber (runner host 0 calls reset_trace() on a fiber), so a sibling fiber
+// registering its ring must yield rather than block the shared worker
+// (DESIGN.md §16).
+rt::Spinlock g_buffers_mu;
 std::vector<std::shared_ptr<ThreadBuffer>>& buffer_list() {
   static auto* list = new std::vector<std::shared_ptr<ThreadBuffer>>();
   return *list;
@@ -38,7 +43,7 @@ std::vector<std::shared_ptr<ThreadBuffer>>& buffer_list() {
 #ifndef LCR_TELEMETRY_DISABLED
 std::shared_ptr<ThreadBuffer> make_buffer() {
   auto b = std::make_shared<ThreadBuffer>();
-  std::lock_guard<std::mutex> guard(g_buffers_mu);
+  std::lock_guard<rt::Spinlock> guard(g_buffers_mu);
   b->tid = static_cast<std::uint32_t>(buffer_list().size());
   buffer_list().push_back(b);
   return b;
@@ -93,7 +98,7 @@ std::uint64_t mix64(std::uint64_t x) {
 /// Per-ring overflow counts, keyed by tid (for the export drop markers).
 std::vector<std::pair<std::uint32_t, std::uint64_t>> collect_drops() {
   std::vector<std::pair<std::uint32_t, std::uint64_t>> out;
-  std::lock_guard<std::mutex> guard(g_buffers_mu);
+  std::lock_guard<rt::Spinlock> guard(g_buffers_mu);
   for (const auto& buf : buffer_list()) {
     std::lock_guard<rt::Spinlock> b(buf->lock);
     if (buf->dropped > 0) out.emplace_back(buf->tid, buf->dropped);
@@ -181,7 +186,7 @@ std::uint32_t sample_trace_id(std::uint32_t host, std::uint32_t phase_id,
 
 std::vector<TraceEvent> collect_trace() {
   std::vector<TraceEvent> out;
-  std::lock_guard<std::mutex> guard(g_buffers_mu);
+  std::lock_guard<rt::Spinlock> guard(g_buffers_mu);
   for (const auto& buf : buffer_list()) {
     std::lock_guard<rt::Spinlock> b(buf->lock);
     out.insert(out.end(), buf->events.begin(), buf->events.end());
@@ -194,7 +199,7 @@ std::vector<TraceEvent> collect_trace() {
 }
 
 void reset_trace() {
-  std::lock_guard<std::mutex> guard(g_buffers_mu);
+  std::lock_guard<rt::Spinlock> guard(g_buffers_mu);
   for (const auto& buf : buffer_list()) {
     std::lock_guard<rt::Spinlock> b(buf->lock);
     buf->events.clear();
@@ -204,7 +209,7 @@ void reset_trace() {
 
 std::uint64_t trace_dropped() {
   std::uint64_t total = 0;
-  std::lock_guard<std::mutex> guard(g_buffers_mu);
+  std::lock_guard<rt::Spinlock> guard(g_buffers_mu);
   for (const auto& buf : buffer_list()) {
     std::lock_guard<rt::Spinlock> b(buf->lock);
     total += buf->dropped;

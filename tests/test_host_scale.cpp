@@ -25,6 +25,7 @@
 #include "fabric/config.hpp"
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
+#include "runtime/cpu_relax.hpp"
 
 namespace lcr {
 namespace {
@@ -137,20 +138,43 @@ TEST_P(HostScaleFailure, KillDuringAllreduceUnwindsAndTreesReset) {
   std::atomic<int> aborted{0};
   std::atomic<int> completed{0};
   std::atomic<int> post_ok{0};
+  std::atomic<int> healthy_returned{0};
   cluster.run([&](int h) {
     // Healthy rounds first: the trees work at this scale before the kill.
-    for (int r = 0; r < 3; ++r)
-      EXPECT_EQ(cluster.oob_allreduce_sum(std::uint64_t{1}),
-                static_cast<std::uint64_t>(kHosts));
-    try {
-      // The victim dies right before contributing; no participant can
-      // finish the op without the victim's subtree, so every survivor
-      // blocks in a wave until the abort predicate fires.
-      if (h == kVictim) cluster.fabric().kill_now(kVictim);
-      (void)cluster.oob_allreduce_sum(static_cast<std::uint64_t>(h) + 1);
-      completed.fetch_add(1);
-    } catch (const comm::PeerFailedError&) {
-      aborted.fetch_add(1);
+    // No kill is pending yet, so an abort here is a failure - reported with
+    // its host and round, and the host still joins the recovery below so
+    // the rest of the cluster is not left waiting for it.
+    bool healthy = true;
+    for (int r = 0; r < 3 && healthy; ++r) {
+      try {
+        EXPECT_EQ(cluster.oob_allreduce_sum(std::uint64_t{1}),
+                  static_cast<std::uint64_t>(kHosts));
+      } catch (const comm::PeerFailedError& e) {
+        ADD_FAILURE() << "host " << h << " aborted healthy round " << r
+                      << ": " << e.what();
+        healthy = false;
+      }
+    }
+    healthy_returned.fetch_add(1);
+    if (healthy) {
+      try {
+        // The victim dies right before contributing; no participant can
+        // finish the op without the victim's subtree, so every survivor
+        // blocks in a wave until the abort predicate fires. The kill waits
+        // until every host has returned from the healthy rounds: a tree
+        // allreduce completes at its root before every leaf is released,
+        // so a victim that ran ahead would abort a slower host's third
+        // healthy round instead of this one (DESIGN.md §16).
+        if (h == kVictim) {
+          rt::Backoff backoff;
+          while (healthy_returned.load() < kHosts) backoff.pause();
+          cluster.fabric().kill_now(kVictim);
+        }
+        (void)cluster.oob_allreduce_sum(static_cast<std::uint64_t>(h) + 1);
+        completed.fetch_add(1);
+      } catch (const comm::PeerFailedError&) {
+        aborted.fetch_add(1);
+      }
     }
     // Runner protocol: every host (victim included) rendezvous at the
     // recovery barrier; the leader revives the victim and resets the torn

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
@@ -16,6 +21,7 @@
 #include "mpilite/collectives.hpp"
 #include "mpilite/comm.hpp"
 #include "mpilite/personality.hpp"
+#include "runtime/ult.hpp"
 
 namespace lcr {
 namespace {
@@ -212,6 +218,64 @@ TEST(MpiMultiThread, ConcurrentSendersUnderThreadMultiple) {
   for (auto& t : senders) t.join();
   std::sort(seen.begin(), seen.end());
   for (int i = 0; i < kThreads * kPerThread; ++i) EXPECT_EQ(seen[i], i);
+}
+
+// Two fibers of one host share a THREAD_MULTIPLE comm on a single ULT worker.
+// Fiber A yields while inside the comm's global lock - its direct handler
+// stands in for a contended nested rt::Spinlock, whose Backoff yields the
+// fiber - and fiber B then calls progress(). A waiter that blocks its OS
+// thread would put the only worker to sleep with A queued behind it, so the
+// comm lock must yield the waiting fiber instead (DESIGN.md §16). A deadlock
+// cannot be unwound from inside the process, so a deadline reports and aborts.
+TEST(MpiMultiThread, CommLockWaiterYieldsToFiberHoldingIt) {
+  fabric::Fabric fab(2, fabric::test_config());
+  mpi::Comm c0(fab, 0, fast_personality(), mpi::ThreadLevel::Multiple);
+  mpi::Comm c1(fab, 1, fast_personality(), mpi::ThreadLevel::Funneled);
+
+  std::vector<std::uint64_t> region(4, 0);
+  const fabric::RKey rkey = c0.endpoint().register_memory(
+      region.data(), region.size() * sizeof(std::uint64_t));
+  std::atomic<bool> holder_in_lock{false};
+  std::atomic<bool> waiter_started{false};
+  std::atomic<bool> handled{false};
+  c0.set_direct_handler([&](const fabric::MsgMeta&) {
+    holder_in_lock.store(true);
+    while (!waiter_started.load()) ult::yield();
+    handled.store(true);
+  });
+  const std::uint64_t payload = 0xC0FFEE;
+  ASSERT_EQ(c1.direct_try_put(0, rkey, &payload, sizeof(payload), 0, 0),
+            fabric::PostResult::Ok);
+
+  std::atomic<bool> finished{false};
+  std::thread owner([&] {
+    ult::Scheduler sched({.workers = 1});
+    sched.spawn([&] {  // fiber A: takes the lock and yields inside it
+      while (!handled.load()) c0.progress();
+    }, /*host=*/0);
+    sched.spawn([&] {  // fiber B: contends for the lock A holds
+      while (!holder_in_lock.load()) ult::yield();
+      waiter_started.store(true);
+      c0.progress();
+    }, /*host=*/0);
+    sched.run();
+    finished.store(true);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!finished.load() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  if (!finished.load()) {
+    std::fprintf(stderr,
+                 "DEADLOCK: the comm-lock waiter blocked the only ULT worker "
+                 "while the fiber holding the lock was queued on it "
+                 "(holder_in_lock=%d waiter_started=%d handled=%d)\n",
+                 holder_in_lock.load(), waiter_started.load(), handled.load());
+    std::abort();
+  }
+  owner.join();
+  EXPECT_TRUE(handled.load());
+  EXPECT_EQ(region[0], payload);
 }
 
 TEST_F(MpiPairTest, WaitAllAndTestAll) {
