@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "runtime/cpu_relax.hpp"
+#include "runtime/timer.hpp"
 #include "runtime/ult.hpp"
 #include "telemetry/flight_recorder.hpp"
 
@@ -167,16 +168,24 @@ void Cluster::oob_wait() {
     throw_failure();
 }
 
-void Cluster::round_tick(int host, std::int64_t round) {
-  // Straggler injection: the slow host burns compute time at the top of each
-  // round, entering every sync phase last (what the health monitor's
-  // straggler classifier is built to flag).
+void Cluster::round_tick(int host, std::int64_t round,
+                         const std::function<void()>& stage) {
+  // Straggler injection: the slow host is held at the top of each round,
+  // entering every sync phase last (what the health monitor's straggler
+  // classifier is built to flag). It waits through Backoff, not a bare
+  // spin: as a fiber, a spin would hold its ULT worker and make every host
+  // queued on that worker late too, and as an OS thread it would take a
+  // core from the other hosts on a loaded box.
   const fabric::FaultProfile& fp = fabric_.config().fault;
-  if (fp.slow_round_ns > 0 && host == fp.slow_host)
-    rt::spin_for_ns(fp.slow_round_ns);
+  if (fp.slow_round_ns > 0 && host == fp.slow_host) {
+    const std::uint64_t until = rt::now_ns() + fp.slow_round_ns;
+    rt::Backoff backoff;
+    while (rt::now_ns() < until) backoff.pause();
+  }
   fabric_.note_round(static_cast<fabric::Rank>(host), round);
   if (!fabric_.is_alive(static_cast<fabric::Rank>(host)))
     throw comm::HostKilledError(host);
+  stage();
   if (membership_.failure_pending()) throw_failure();
 }
 

@@ -115,7 +115,13 @@ class Cluster {
   /// Driver hook at each BSP round boundary: fires scheduled round kills
   /// deterministically and aborts the caller when this host is dead
   /// (HostKilledError) or a peer failure is pending (PeerFailedError).
-  void round_tick(int host, std::int64_t round);
+  /// `stage` (the round's checkpoint save, if any) runs between the two
+  /// checks: a live host's boundary state is complete whether or not a peer
+  /// has failed since, so a survivor that reaches the boundary after the
+  /// kill still stages it, and the rollback round does not depend on how
+  /// far it lagged.
+  void round_tick(int host, std::int64_t round,
+                  const std::function<void()>& stage);
 
   /// Cluster-wide recovery rendezvous: every host thread calls this after
   /// unwinding its engine. The leader (host 0) revives dead hosts under a

@@ -78,14 +78,15 @@ class RoundLoop {
            Finish&& finish) {
     for (std::uint64_t round = restore(); round < max_rounds; ++round) {
       {
+        // The state is quiescent at the boundary: staging needs no locks.
+        // round_tick stages it after the liveness check (a dead host never
+        // stages) and before the peer-failure check.
         telemetry::Span span("app", "round_tick", span_pid());
-        cluster_.round_tick(host_, static_cast<std::int64_t>(round));
+        cluster_.round_tick(host_, static_cast<std::int64_t>(round),
+                            [this, round] {
+                              if (checkpoint_due(round)) save(round);
+                            });
       }
-      // The state is quiescent at the boundary: staging needs no locks.
-      if (rec_ != nullptr && rec_->interval > 0 &&
-          round % static_cast<std::uint64_t>(rec_->interval) == 0 &&
-          round != resumed_at_)
-        save(round);
       telemetry::Span round_span("app", "round", span_pid());
       const auto local = step();
       const auto global = [&] {
@@ -124,6 +125,12 @@ class RoundLoop {
   double reduce(double local) { return cluster_.oob_allreduce_sum(local); }
   std::uint64_t reduce(Min local) {
     return cluster_.oob_allreduce_min(local.value);
+  }
+
+  bool checkpoint_due(std::uint64_t round) const {
+    return rec_ != nullptr && rec_->interval > 0 &&
+           round % static_cast<std::uint64_t>(rec_->interval) == 0 &&
+           round != resumed_at_;
   }
 
   void save(std::uint64_t round) {

@@ -22,9 +22,11 @@ namespace lcr::fabric {
 
 /// Deterministic fault model for an unreliable fabric (UD/datagram-class
 /// transports where the runtime owns reliability). Every fault decision is a
-/// pure hash of (seed, src, dst, per-link operation index), so replaying the
-/// same traffic with the same seed reproduces the same fault sequence -
-/// independent of wall-clock timing.
+/// pure hash of (seed, src, dst, operation): a reliable data operation is
+/// named by its (seq, attempt), any other by its per-link operation index.
+/// Replaying the same traffic with the same seed reproduces the same fault
+/// sequence - independent of wall-clock timing and of how control packets
+/// interleave with the data.
 struct FaultProfile {
   std::uint64_t seed = 0;
 
@@ -51,8 +53,9 @@ struct FaultProfile {
   std::uint64_t brownout_ops = 0;
 
   /// Fail-stop host kill schedule. Host `kill_host` (-1 = disabled) dies
-  /// either at its `kill_at_op`-th accepted data operation (1-based; 0
-  /// disables the op trigger) or when its driver reports reaching round
+  /// either at its `kill_at_op`-th accepted data operation (1-based, first
+  /// transmissions only - retransmits never count; 0 disables the op
+  /// trigger) or when its driver reports reaching round
   /// `kill_at_round` (-1 disables), whichever fires first. Exactly one kill
   /// fires per run; the victim's endpoint is torn down so peers observe
   /// PostResult::Down instead of silence, and a later revive() bumps the
@@ -62,8 +65,9 @@ struct FaultProfile {
   std::uint64_t kill_at_op = 0;
   std::int64_t kill_at_round = -1;
 
-  /// Straggler injection: host `slow_host` (-1 = disabled) busy-spins for
-  /// `slow_round_ns` at the top of every round it drives. Models a host with
+  /// Straggler injection: host `slow_host` (-1 = disabled) waits for
+  /// `slow_round_ns` at the top of every round it drives, yielding its core
+  /// (or its ULT worker) to the other hosts meanwhile. Models a host with
   /// degraded compute (thermal throttling, a noisy neighbour); the health
   /// monitor's straggler classifier exists to catch exactly this.
   std::int32_t slow_host = -1;

@@ -84,6 +84,7 @@ std::uint64_t Fabric::next_link_op(Rank src, Rank dst) {
 }
 
 Fabric::FaultRoll Fabric::roll_faults(Rank src, Rank dst, std::uint64_t index,
+                                      const MsgMeta& meta,
                                       std::size_t payload_size) const {
   FaultRoll roll;
   const FaultProfile& fp = config_.fault;
@@ -95,11 +96,22 @@ Fabric::FaultRoll Fabric::roll_faults(Rank src, Rank dst, std::uint64_t index,
     return roll;
   }
 
-  // One splitmix64 stream per (seed, link, index): decisions are a pure
-  // function of the operation's identity, never of wall-clock timing.
+  // One splitmix64 stream per (seed, link, operation): decisions are a pure
+  // function of the operation's identity, never of wall-clock timing. A
+  // reliable data operation is identified by (seq, attempt), not by its
+  // link slot: which slot a message lands in depends on how other threads'
+  // acks, probes and retransmits interleave with it, so a slot-keyed roll
+  // would drop a different message on every run of the same seed. The tag
+  // bit keeps the two key spaces apart.
+  const bool keyed =
+      (meta.rel & kRelSeq) != 0 && (meta.rel & kRelCtrl) == 0;
+  const std::uint64_t op =
+      keyed ? (std::uint64_t{1} << 63) |
+                  (static_cast<std::uint64_t>(meta.attempt) << 32) | meta.seq
+            : index;
   std::uint64_t state = fp.seed;
   state ^= rt::hash64((static_cast<std::uint64_t>(src) << 32) | dst);
-  state ^= rt::hash64(index * 0x9e3779b97f4a7c15ULL);
+  state ^= rt::hash64(op * 0x9e3779b97f4a7c15ULL);
   auto draw = [&state]() {
     return static_cast<double>(rt::splitmix64(state) >> 11) * 0x1.0p-53;
   };
@@ -151,7 +163,7 @@ PostResult Fabric::post_send(Rank src, Rank dst, const void* payload,
 
   FaultRoll roll;
   if (link_ops_)
-    roll = roll_faults(src, dst, next_link_op(src, dst), meta.size);
+    roll = roll_faults(src, dst, next_link_op(src, dst), meta, meta.size);
   if (roll.drop) {
     // Vanishes in flight: the sender sees a normal local completion.
     sep.stats().faults_dropped.fetch_add(1, std::memory_order_relaxed);
@@ -163,8 +175,8 @@ PostResult Fabric::post_send(Rank src, Rank dst, const void* payload,
                     meta.seq);
       // From the sender's view the post succeeded; the wire ate it. Record
       // both so stitched flows read post -> drop per attempt.
-      telemetry::hop("post", src, meta.trace_id, meta.trace_hop, hbuf);
-      telemetry::hop("drop", src, meta.trace_id, meta.trace_hop, hbuf);
+      telemetry::hop("post", src, meta.trace_id, meta.attempt, hbuf);
+      telemetry::hop("drop", src, meta.trace_id, meta.attempt, hbuf);
     }
     return PostResult::Ok;
   }
@@ -186,10 +198,12 @@ PostResult Fabric::post_send(Rank src, Rank dst, const void* payload,
     }
   }
 
-  // Kill-at-op trigger: counts the victim's accepted data operations only
-  // (control traffic retransmits on timing-dependent schedules, data posts
-  // are deterministic per round on a loss-free fabric).
-  if (host_ops_ && !ctrl) {
+  // Kill-at-op trigger: counts the victim's accepted first transmissions of
+  // data operations only. Control traffic and retransmits (a late ack
+  // under load times out and re-sends data even on a loss-free fabric) run
+  // on timing-dependent schedules; first data posts are deterministic per
+  // round.
+  if (host_ops_ && !ctrl && meta.attempt == 0) {
     const std::uint64_t op =
         host_ops_[src].fetch_add(1, std::memory_order_relaxed) + 1;
     const FaultProfile& fp = config_.fault;
@@ -264,7 +278,7 @@ PostResult Fabric::post_send(Rank src, Rank dst, const void* payload,
       char hbuf[64];
       std::snprintf(hbuf, sizeof(hbuf), "{\"dst\":%u,\"seq\":%u,\"bytes\":%u}",
                     dst, meta.seq, meta.size);
-      telemetry::hop("post", src, meta.trace_id, meta.trace_hop, hbuf);
+      telemetry::hop("post", src, meta.trace_id, meta.attempt, hbuf);
     }
   }
   return PostResult::Ok;
@@ -292,7 +306,8 @@ PostResult Fabric::post_put(Rank src, Rank dst, RKey rkey, std::size_t offset,
     return PostResult::Invalid;
 
   FaultRoll roll;
-  if (link_ops_) roll = roll_faults(src, dst, next_link_op(src, dst), size);
+  if (link_ops_)
+    roll = roll_faults(src, dst, next_link_op(src, dst), meta, size);
   if (roll.drop) {
     // The whole RDMA operation vanishes: no data is written, no completion
     // is delivered, the sender sees a normal local completion.
@@ -304,13 +319,13 @@ PostResult Fabric::post_put(Rank src, Rank dst, RKey rkey, std::size_t offset,
       std::snprintf(hbuf, sizeof(hbuf), "{\"dst\":%u,\"seq\":%u}", dst,
                     meta.seq);
       // Sender-visible success first, then the loss (see post_send).
-      telemetry::hop("post", src, meta.trace_id, meta.trace_hop, hbuf);
-      telemetry::hop("drop", src, meta.trace_id, meta.trace_hop, hbuf);
+      telemetry::hop("post", src, meta.trace_id, meta.attempt, hbuf);
+      telemetry::hop("drop", src, meta.trace_id, meta.attempt, hbuf);
     }
     return PostResult::Ok;
   }
 
-  if (host_ops_ && !(meta.rel & kRelCtrl)) {
+  if (host_ops_ && !(meta.rel & kRelCtrl) && meta.attempt == 0) {
     const std::uint64_t op =
         host_ops_[src].fetch_add(1, std::memory_order_relaxed) + 1;
     const FaultProfile& fp = config_.fault;
@@ -362,7 +377,7 @@ PostResult Fabric::post_put(Rank src, Rank dst, RKey rkey, std::size_t offset,
       char hbuf[64];
       std::snprintf(hbuf, sizeof(hbuf), "{\"dst\":%u,\"seq\":%u,\"bytes\":%zu}",
                     dst, meta.seq, size);
-      telemetry::hop("post", src, meta.trace_id, meta.trace_hop, hbuf);
+      telemetry::hop("post", src, meta.trace_id, meta.attempt, hbuf);
     }
   }
   return PostResult::Ok;

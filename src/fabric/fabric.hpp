@@ -15,7 +15,8 @@
 //   * optional unreliability: when FabricConfig::fault is enabled the fabric
 //     behaves like a UD/datagram-class transport - operations may be
 //     dropped, duplicated, delayed, reordered, or bit-flipped, decided
-//     deterministically from (seed, link, per-link op index). Layers above
+//     deterministically from (seed, link, operation identity: seq and
+//     attempt for reliable data, the per-link op index otherwise). Layers above
 //     must then run the reliability protocol in fabric/reliable.hpp.
 //
 // The fabric itself is runtime-agnostic: LCI, mpilite two-sided and mpilite
@@ -134,10 +135,13 @@ class Fabric {
   };
 
   /// Deterministic fault decision for the `index`-th operation on link
-  /// (src, dst): a pure hash of (seed, src, dst, index), independent of
-  /// timing. Returns an all-false roll when fault injection is disabled.
+  /// (src, dst). A reliable data operation (kRelSeq, not kRelCtrl) rolls on
+  /// its own identity, a pure hash of (seed, src, dst, seq, attempt); any
+  /// other operation rolls on (seed, src, dst, index). The brownout window
+  /// always counts `index`. Returns an all-false roll when fault injection
+  /// is disabled.
   FaultRoll roll_faults(Rank src, Rank dst, std::uint64_t index,
-                        std::size_t payload_size) const;
+                        const MsgMeta& meta, std::size_t payload_size) const;
 
   /// Post-increment the per-link operation counter.
   std::uint64_t next_link_op(Rank src, Rank dst);
@@ -150,7 +154,8 @@ class Fabric {
 
   /// Liveness flag per host (fail-stop kill layer).
   std::unique_ptr<std::atomic<bool>[]> alive_;
-  /// Accepted data operations per source host (kill-at-op trigger); only
+  /// Accepted first transmissions of data operations per source host
+  /// (kill-at-op trigger); only
   /// allocated when a kill schedule is configured.
   std::unique_ptr<std::atomic<std::uint64_t>[]> host_ops_;
   std::atomic<bool> kill_fired_{false};   // scheduled kill fires exactly once

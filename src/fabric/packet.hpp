@@ -57,10 +57,13 @@ struct MsgMeta {
   /// Causal-trace context (telemetry): copied out of the framed payload's
   /// ChunkHeader by the reliability channel so the fabric and the protocol
   /// can record lifecycle hops without parsing payloads. 0 = unsampled.
-  /// Excluded from the reliability CRC, like `ack`: `trace_hop` counts
-  /// transmission attempts and mutates per (re)post.
   std::uint32_t trace_id = 0;
-  std::uint8_t trace_hop = 0;
+  /// Reliability layer: which transmission of `seq` this is (0 = the first
+  /// post, 1 = the first retransmit, ...). With `seq` it names the wire
+  /// operation, so the fault roll can key on the message rather than on the
+  /// link slot it happens to occupy; trace hops record it as their attempt.
+  /// Excluded from the CRC, like `ack`: it changes per (re)post.
+  std::uint16_t attempt = 0;
 };
 
 /// Result of posting an operation to the fabric.

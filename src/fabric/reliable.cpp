@@ -61,7 +61,6 @@ void stamp_trace(MsgMeta& meta, const void* payload, std::size_t size) {
     std::memcpy(&h, bytes, sizeof(h));
     if (h.valid() && h.trace_id != 0) {
       meta.trace_id = h.trace_id;
-      meta.trace_hop = h.trace_hop;
       return;
     }
   }
@@ -70,10 +69,7 @@ void stamp_trace(MsgMeta& meta, const void* payload, std::size_t size) {
     std::memcpy(&rec, bytes, sizeof(rec));
     if (rec >= comm::kChunkHeaderBytes && rec <= size - sizeof(rec)) {
       std::memcpy(&h, bytes + sizeof(rec), sizeof(h));
-      if (h.valid() && h.trace_id != 0) {
-        meta.trace_id = h.trace_id;
-        meta.trace_hop = h.trace_hop;
-      }
+      if (h.valid() && h.trace_id != 0) meta.trace_id = h.trace_id;
     }
   }
 }
@@ -295,17 +291,14 @@ void ReliableChannel::handle_ack(Rank peer, std::uint32_t ack,
       if (e.attempts == 0 || now - e.last_data_tx >= cfg_.rto_ns / 4) {
         if (telemetry::enabled() && now > e.last_data_tx)
           rtx_gap_hist_->record(now - e.last_data_tx);
-        if (e.meta.trace_id != 0) {
-          e.meta.trace_hop = static_cast<std::uint8_t>(
-              e.attempts < 0xFF ? e.attempts + 1 : 0xFF);
-          if (telemetry::enabled()) {
-            char hbuf[64];
-            std::snprintf(hbuf, sizeof(hbuf),
-                          "{\"peer\":%u,\"seq\":%u,\"cause\":\"nack\"}", peer,
-                          e.seq);
-            telemetry::hop("retransmit", rank_, e.meta.trace_id,
-                           e.attempts + 1, hbuf);
-          }
+        e.meta.attempt = static_cast<std::uint16_t>(e.attempts + 1);
+        if (telemetry::enabled() && e.meta.trace_id != 0) {
+          char hbuf[64];
+          std::snprintf(hbuf, sizeof(hbuf),
+                        "{\"peer\":%u,\"seq\":%u,\"cause\":\"nack\"}", peer,
+                        e.seq);
+          telemetry::hop("retransmit", rank_, e.meta.trace_id,
+                         e.meta.attempt, hbuf);
         }
         const PostResult r = post_entry(peer, e);
         if (r == PostResult::Down) {
@@ -353,7 +346,7 @@ void ReliableChannel::handle_data(Cqe& cqe) {
     if (telemetry::enabled() && m.trace_id != 0) {
       char hbuf[48];
       std::snprintf(hbuf, sizeof(hbuf), "{\"src\":%u,\"seq\":%u}", m.src, seq);
-      telemetry::hop("dup", rank_, m.trace_id, m.trace_hop, hbuf);
+      telemetry::hop("dup", rank_, m.trace_id, m.attempt, hbuf);
     }
     rx.ack_dirty.store(true, std::memory_order_relaxed);
     recycle(cqe);
@@ -368,7 +361,7 @@ void ReliableChannel::handle_data(Cqe& cqe) {
       char hbuf[64];
       std::snprintf(hbuf, sizeof(hbuf),
                     "{\"src\":%u,\"seq\":%u,\"cause\":\"crc\"}", m.src, seq);
-      telemetry::hop("nack", rank_, m.trace_id, m.trace_hop, hbuf);
+      telemetry::hop("nack", rank_, m.trace_id, m.attempt, hbuf);
     }
     rx.nack_seq_plus1 = seq + 1;  // confirmed damaged: request a re-send
     rx.ack_dirty.store(true, std::memory_order_relaxed);
@@ -385,7 +378,7 @@ void ReliableChannel::handle_data(Cqe& cqe) {
       std::snprintf(hbuf, sizeof(hbuf), "{\"src\":%u,\"seq\":%u}",
                     ready.meta.src, ready.meta.seq);
       telemetry::hop("deliver", rank_, ready.meta.trace_id,
-                     ready.meta.trace_hop, hbuf);
+                     ready.meta.attempt, hbuf);
     }
     if (ready.meta.rel & kRelBare) {
       // Transport-internal put notification: acked but never surfaced.
@@ -433,7 +426,7 @@ void ReliableChannel::handle_data(Cqe& cqe) {
     if (telemetry::enabled() && m.trace_id != 0) {
       char hbuf[48];
       std::snprintf(hbuf, sizeof(hbuf), "{\"src\":%u,\"seq\":%u}", m.src, seq);
-      telemetry::hop("ooo_drop", rank_, m.trace_id, m.trace_hop, hbuf);
+      telemetry::hop("ooo_drop", rank_, m.trace_id, m.attempt, hbuf);
     }
     recycle(cqe);
   }
@@ -496,17 +489,14 @@ void ReliableChannel::service_tx(std::uint64_t now) {
     } else {
       if (telemetry::enabled() && now > front.last_data_tx)
         rtx_gap_hist_->record(now - front.last_data_tx);
-      if (front.meta.trace_id != 0) {
-        front.meta.trace_hop = static_cast<std::uint8_t>(
-            front.attempts < 0xFF ? front.attempts + 1 : 0xFF);
-        if (telemetry::enabled()) {
-          char hbuf[64];
-          std::snprintf(hbuf, sizeof(hbuf),
-                        "{\"peer\":%u,\"seq\":%u,\"cause\":\"rto\"}", dst,
-                        front.seq);
-          telemetry::hop("retransmit", rank_, front.meta.trace_id,
-                         front.attempts + 1, hbuf);
-        }
+      front.meta.attempt = static_cast<std::uint16_t>(front.attempts + 1);
+      if (telemetry::enabled() && front.meta.trace_id != 0) {
+        char hbuf[64];
+        std::snprintf(hbuf, sizeof(hbuf),
+                      "{\"peer\":%u,\"seq\":%u,\"cause\":\"rto\"}", dst,
+                      front.seq);
+        telemetry::hop("retransmit", rank_, front.meta.trace_id,
+                       front.meta.attempt, hbuf);
       }
       const PostResult r = post_entry(dst, front);
       if (r == PostResult::Down) {

@@ -679,6 +679,51 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, TracedLossyRun,
                          });
 
 // ---------------------------------------------------------------------------
+// Straggler injection under the ULT scheduler: the slow host's delay must
+// not stall the hosts that share its worker. A bare spin held the worker, a
+// host queued behind it entered the phase late as well, and the monitor
+// named no straggler or the wrong one.
+// ---------------------------------------------------------------------------
+
+struct UltStragglerCase {
+  comm::BackendKind backend;
+  std::size_t workers;
+  const char* name;
+};
+
+void PrintTo(const UltStragglerCase& c, std::ostream* os) { *os << c.name; }
+
+class UltStraggler : public ::testing::TestWithParam<UltStragglerCase> {};
+
+TEST_P(UltStraggler, InjectedSlowHostIsNamed) {
+  graph::Csr g = graph::rmat(9, 8.0);
+  bench::RunSpec spec;
+  spec.app = "bfs";
+  spec.backend = GetParam().backend;
+  spec.hosts = 3;
+  spec.policy = graph::PartitionPolicy::CartesianVertexCut;
+  spec.source = bench::choose_source(g);
+  spec.host_sched = "ult";
+  spec.ult_workers = GetParam().workers;
+  spec.fabric.fault.slow_host = 2;
+  spec.fabric.fault.slow_round_ns = 30000000;
+
+  const auto result = bench::run_app(g, spec);
+  EXPECT_EQ(result.labels_u32, apps::reference_bfs(g, spec.source));
+  std::vector<int> named;
+  for (const auto& f : result.health.findings)
+    if (f.kind == "straggler") named.push_back(f.host);
+  EXPECT_EQ(named, std::vector<int>{2});
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sched, UltStraggler,
+    ::testing::Values(UltStragglerCase{comm::BackendKind::Lci, 1, "lci_w1"},
+                      UltStragglerCase{comm::BackendKind::MpiRma, 2,
+                                       "mpi_rma_w2"}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+// ---------------------------------------------------------------------------
 // Round driver spans: the termination collective of every round is spanned
 // on both engines, so no host's round ends in untraced time.
 // ---------------------------------------------------------------------------

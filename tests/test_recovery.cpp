@@ -234,6 +234,35 @@ TEST(FabricFailStop, ReviveBumpsEpochAndFencesStaleCompletions) {
   EXPECT_TRUE(fab.endpoint(1).poll_cq().has_value());
 }
 
+// The kill-at-op trigger counts first transmissions only. A retransmit of
+// the same sequence number (a late ack times out and re-sends data even on
+// a loss-free fabric) must not advance the count, or the kill point would
+// move with the machine's load.
+TEST(FabricFailStop, KillAtOpCountsFirstTransmissionsOnly) {
+  fabric::FabricConfig cfg = fabric::test_config();
+  cfg.fault.kill_host = 0;
+  cfg.fault.kill_at_op = 2;
+  fabric::Fabric fab(2, cfg);
+  std::vector<std::byte> slab(fab.config().mtu * 4);
+  for (std::size_t i = 0; i < 4; ++i)
+    fab.endpoint(1).post_rx({slab.data() + i * fab.config().mtu,
+                             fab.config().mtu, i});
+
+  const char byte = 'x';
+  fabric::MsgMeta m = small_meta(1);
+  m.rel = fabric::kRelSeq;
+  m.seq = 0;
+  ASSERT_EQ(fab.post_send(0, 1, &byte, m), fabric::PostResult::Ok);
+  m.attempt = 1;  // retransmit of seq 0
+  ASSERT_EQ(fab.post_send(0, 1, &byte, m), fabric::PostResult::Ok);
+  EXPECT_TRUE(fab.is_alive(0)) << "a retransmit advanced the kill count";
+  m.seq = 1;
+  m.attempt = 0;
+  ASSERT_EQ(fab.post_send(0, 1, &byte, m), fabric::PostResult::Ok);
+  EXPECT_FALSE(fab.is_alive(0));
+  EXPECT_EQ(fab.killed_at_op(), 2u);
+}
+
 TEST(FaultProfileFormat, ToStringIncludesKillSchedule) {
   fabric::FaultProfile fp;
   fp.kill_host = 2;
@@ -513,6 +542,30 @@ TEST(RecoveryDeterminism, OpKillSameSeedSameKillPointLossFree) {
   EXPECT_EQ(a.recovery_events, b.recovery_events);
   EXPECT_EQ(a.labels_u32, b.labels_u32);
   EXPECT_EQ(a.labels_u32, apps::reference_bfs(g, spec.source));
+}
+
+// A survivor that reaches a checkpoint boundary after the kill still
+// stages it: host 3 burns 50 ms at the top of every round, so the victim
+// dies at its op 12 in round 0 before host 3 has reached round 0's
+// boundary. The rollback round must not depend on that lag.
+TEST(RecoveryDeterminism, OpKillRollbackIgnoresSurvivorLag) {
+  graph::Csr g = graph::rmat(6, 8.0);
+  bench::RunSpec spec;
+  spec.app = "bfs";
+  spec.hosts = 4;
+  spec.ckpt_interval = 2;
+  spec.source = bench::choose_source(g);
+  spec.fabric.fault.seed = 0xDEAD5EED;
+  spec.fabric.fault.kill_host = 1;
+  spec.fabric.fault.kill_at_op = 12;
+  spec.fabric.fault.slow_host = 3;
+  spec.fabric.fault.slow_round_ns = 50'000'000;
+
+  const auto r = bench::run_app(g, spec);
+  EXPECT_EQ(r.kills, 1u);
+  EXPECT_EQ(r.killed_at_op, 12u);
+  EXPECT_EQ(r.rollback_round, 0);
+  EXPECT_EQ(r.labels_u32, apps::reference_bfs(g, spec.source));
 }
 
 // ---------------------------------------------------------------------------

@@ -206,6 +206,82 @@ TEST(Reliability, SameSeedReplaysIdenticalFaultsAndCounters) {
   EXPECT_TRUE(other.drained);
 }
 
+/// Posts reliable data packets seq 0..kSlots-1 (attempt 0) from rank 0 to
+/// rank 1 of a lossy fabric straight through the fabric, with
+/// `ctrl_between` header-only acks before each one, and returns the
+/// sequence numbers rank 1 received.
+std::vector<std::uint32_t> delivered_seqs(std::size_t ctrl_between) {
+  fabric::FabricConfig cfg = fabric::test_config();
+  cfg.fault.seed = 0x5EEDF00D;
+  cfg.fault.drop_rate = 0.25;
+  fabric::Fabric fab(2, cfg);
+  std::vector<std::byte> slab(kSlots * cfg.mtu);
+  for (std::uint64_t i = 0; i < kSlots; ++i)
+    fab.endpoint(1).post_rx({slab.data() + i * cfg.mtu, cfg.mtu, i});
+  std::byte payload[kPayloadBytes] = {};
+  for (std::uint32_t seq = 0; seq < kSlots; ++seq) {
+    for (std::size_t c = 0; c < ctrl_between; ++c) {
+      fabric::MsgMeta ack;
+      ack.rel = fabric::kRelCtrl | fabric::kRelAck;
+      EXPECT_EQ(fab.post_send(0, 1, nullptr, ack), fabric::PostResult::Ok);
+    }
+    fabric::MsgMeta m;
+    m.kind = 3;
+    m.size = kPayloadBytes;
+    m.rel = fabric::kRelSeq;
+    m.seq = seq;
+    EXPECT_EQ(fab.post_send(0, 1, payload, m), fabric::PostResult::Ok);
+  }
+  std::vector<std::uint32_t> seqs;
+  while (auto cqe = fab.endpoint(1).poll_cq())
+    if ((cqe->meta.rel & fabric::kRelCtrl) == 0) seqs.push_back(cqe->meta.seq);
+  return seqs;
+}
+
+// A reliable data operation's fault roll follows the message (link, seq,
+// attempt), not the link slot it lands in. Acks and probes that other
+// threads interleave on the same link shift every later slot, so a
+// slot-keyed roll drops different messages on every run of one seed.
+TEST(Reliability, DataFaultsFollowTheMessageNotTheLinkSlot) {
+  const std::vector<std::uint32_t> quiet = delivered_seqs(0);
+  ASSERT_GT(quiet.size(), 0u);
+  ASSERT_LT(quiet.size(), kSlots) << "the seed must drop some data";
+  EXPECT_EQ(delivered_seqs(1), quiet);
+  EXPECT_EQ(delivered_seqs(3), quiet);
+}
+
+// Each retransmission of a sequence number is a new wire operation with a
+// roll of its own, so a dropped message gets through on a later attempt.
+TEST(Reliability, RetransmitAttemptsRollAfresh) {
+  fabric::FabricConfig cfg = fabric::test_config();
+  cfg.fault.seed = 0x5EEDF00D;
+  cfg.fault.drop_rate = 0.25;
+  fabric::Fabric fab(2, cfg);
+  std::vector<std::byte> slab(kSlots * cfg.mtu);
+  for (std::uint64_t i = 0; i < kSlots; ++i)
+    fab.endpoint(1).post_rx({slab.data() + i * cfg.mtu, cfg.mtu, i});
+  std::byte payload[kPayloadBytes] = {};
+  std::vector<bool> got(kSlots, false);
+  std::size_t retransmitted = 0;
+  for (std::uint16_t attempt = 0; attempt < 16; ++attempt) {
+    for (std::uint32_t seq = 0; seq < kSlots; ++seq) {
+      if (got[seq]) continue;
+      fabric::MsgMeta m;
+      m.kind = 3;
+      m.size = kPayloadBytes;
+      m.rel = fabric::kRelSeq;
+      m.seq = seq;
+      m.attempt = attempt;
+      if (attempt > 0) ++retransmitted;
+      ASSERT_EQ(fab.post_send(0, 1, payload, m), fabric::PostResult::Ok);
+    }
+    while (auto cqe = fab.endpoint(1).poll_cq()) got[cqe->meta.seq] = true;
+  }
+  EXPECT_GT(retransmitted, 0u);
+  for (std::uint32_t seq = 0; seq < kSlots; ++seq)
+    EXPECT_TRUE(got[seq]) << "seq " << seq << " dropped on every attempt";
+}
+
 TEST(Reliability, DropsRecoveredByRetransmit) {
   fabric::FaultProfile fp;
   fp.seed = 7;
