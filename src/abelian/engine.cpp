@@ -6,6 +6,7 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "runtime/cpu_relax.hpp"
@@ -45,6 +46,11 @@ HostEngine::HostEngine(Cluster& cluster, const graph::DistGraph& graph,
       team_(std::make_unique<rt::ThreadTeam>(cfg.compute_threads)),
       send_queue_(1024),
       recv_queue_(cfg.recv_queue_capacity),
+      stash_(cfg_.stash_cap, comm::StashCounters{&stats_.stash_peak,
+                                                 &stats_.stash_drops,
+                                                 &stats_.direct_stale}),
+      landing_(cluster.direct_directory(), graph.host_id,
+               cfg_.backend_options.tracker),
       apply_queue_(4096),
       shard_locks_(graph.num_local) {
   apply_workers_ = cfg_.apply_workers == 0 ? team_->size()
@@ -94,32 +100,9 @@ HostEngine::~HostEngine() {
   while (auto s = apply_queue_.try_pop()) abort_slice(*s);
   while (auto m = recv_queue_.try_pop()) delete *m;
   while (auto w = send_queue_.try_pop()) delete *w;
-  // Future-phase messages still stashed hold live backend resources (e.g.
-  // LCI receive requests); release them before the backend goes away.
-  for (auto& [phase, queue] : stash_)
-    for (auto& msg : queue)
-      if (msg.release) msg.release();
-  stash_.clear();
-  // Direct-write teardown: retract the published descriptors first (origins
-  // immediately revert to two-sided on the lookup miss), then drop the
-  // registrations; an in-flight put at the old token resolves invalid at
-  // the fabric because tokens are never reused.
-  for (auto& [key, home] : direct_homes_) {
-    const int src = static_cast<int>(key & 0xFFFFFFFFull);
-    const auto pattern_key = static_cast<std::uint32_t>(key >> 32);
-    cluster_.direct_directory().retract(graph_.host_id, src, pattern_key,
-                                        home.region.generation);
-    backend_->release_direct_region(src, home.region);
-    if (cfg_.backend_options.tracker != nullptr)
-      cfg_.backend_options.tracker->on_free(home.region.capacity);
-  }
-  // The backend must quiesce before the region buffers are freed: a
-  // retransmitted put already materialized in the endpoint's CQ still
-  // references region memory until the backend's final pump, and backend_
-  // is declared before direct_homes_ so default member order would free
-  // the buffers first.
-  backend_.reset();
-  direct_homes_.clear();
+  // Stashed messages are copies (no backend resources); the landing regions
+  // retract, unregister, quiesce the backend and only then free.
+  landing_.close(backend_);
 }
 
 // ---------------------------------------------------------------------------
@@ -175,8 +158,8 @@ void HostEngine::comm_thread_loop() {
           // Pre-checked on the compute thread: the put can only soft-fail.
           for (;;) {
             const auto st = backend_->direct_put(
-                sw->dst, sw->region, sw->payload.data(), sw->payload.size(),
-                sw->phase_id, sw->pattern_key);
+                sw->dst, sw->region, sw->lease.data, sw->bytes, sw->phase_id,
+                sw->pattern_key);
             if (st != comm::DirectPutStatus::Retry || aborting()) {
               // Unavailable is unreachable for the soft-fail-free
               // emulations that take this path; tallied, not resent.
@@ -189,12 +172,13 @@ void HostEngine::comm_thread_loop() {
             send_backoff.pause();
           }
         } else {
-          while (!backend_->try_send(sw->dst, sw->payload)) {
+          while (!backend_->commit(sw->dst, sw->lease, sw->bytes)) {
             if (aborting()) break;  // abandon the send, phase is unwinding
             backend_->progress();
             send_backoff.pause();
           }
         }
+        backend_->abandon(sw->lease);  // a direct frame, or an aborted send
         delete sw;
         sends_pending_.fetch_sub(1, std::memory_order_release);
         did_work = true;
@@ -262,23 +246,25 @@ void HostEngine::dispatch_chunk(int dst, comm::BufferLease& lease,
     }
     return;
   }
-  // Non-thread-safe send: the lease is engine-built heap memory (acquire is
-  // never called off the comm thread); hand it to the comm thread.
-  if (lease.heap.size() != total_bytes) lease.heap.resize(total_bytes);
-  auto* sw = new SendWork{};
-  sw->dst = dst;
-  sw->payload = std::move(lease.heap);
-  lease = comm::BufferLease{};
+  // FUNNELED send: only the comm thread may commit; hand it the lease.
+  queue_send(new SendWork{dst, std::exchange(lease, comm::BufferLease{}),
+                          total_bytes},
+             scatter, can_apply);
+}
+
+bool HostEngine::queue_send(SendWork* sw, const ScatterFn& scatter,
+                            bool can_apply) {
   sends_pending_.fetch_add(1, std::memory_order_acq_rel);
   rt::Backoff backoff;
   while (!send_queue_.try_push(sw)) {
     if (aborting()) {
       delete sw;
       sends_pending_.fetch_sub(1, std::memory_order_release);
-      return;
+      return false;
     }
     if (!drain_one(scatter, can_apply)) backoff.pause();
   }
+  return true;
 }
 
 void HostEngine::send_tail(int dst, std::uint32_t data_chunks,
@@ -297,14 +283,7 @@ void HostEngine::send_tail(int dst, std::uint32_t data_chunks,
   header.format = static_cast<std::uint8_t>(comm::WireFormat::Raw);
   header.finalize();
 
-  comm::BufferLease lease;
-  if (backend_->thread_safe_send()) {
-    lease = backend_->acquire(dst, comm::kChunkHeaderBytes);
-  } else {
-    lease.heap.resize(comm::kChunkHeaderBytes);
-    lease.data = lease.heap.data();
-    lease.capacity = lease.heap.size();
-  }
+  comm::BufferLease lease = backend_->acquire(dst, comm::kChunkHeaderBytes);
   std::memcpy(lease.data, &header, sizeof(header));
   dispatch_chunk(dst, lease, comm::kChunkHeaderBytes, scatter, can_apply);
 }
@@ -314,17 +293,7 @@ void HostEngine::send_tail(int dst, std::uint32_t data_chunks,
 // ---------------------------------------------------------------------------
 
 bool HostEngine::next_message(comm::InMessage& out) {
-  {
-    std::lock_guard<rt::Spinlock> guard(stash_lock_);
-    auto it = stash_.find(ledger_.id());
-    if (it != stash_.end() && !it->second.empty()) {
-      out = std::move(it->second.front());
-      it->second.pop_front();
-      --stash_count_;
-      if (it->second.empty()) stash_.erase(it);
-      return true;
-    }
-  }
+  if (stash_.pop(ledger_.id(), out)) return true;
   if (backend_->thread_safe_recv()) return backend_->try_recv(out);
   if (auto m = recv_queue_.try_pop()) {
     out = std::move(**m);
@@ -332,77 +301,6 @@ bool HostEngine::next_message(comm::InMessage& out) {
     return true;
   }
   return false;
-}
-
-void HostEngine::stash_message(comm::InMessage&& msg,
-                               const comm::ChunkHeader& header) {
-  // phase_id is monotone per engine, so a simple forward-window compare
-  // separates a peer legitimately racing ahead from a stale or fuzzed id.
-  const std::uint32_t current = ledger_.id();
-  if (header.phase_id > current &&
-      header.phase_id - current <= kStashPhaseWindow) {
-    // Copy out of transport memory before stashing. A stashed message stays
-    // parked until this engine advances to its phase, and holding the
-    // transport lease that long pins an rx packet: a straggler whose whole
-    // receive window fills with raced-ahead next-phase chunks can then
-    // never land the tail that completes its *current* phase - a cross-host
-    // deadlock (the sender spins on a throttled link, the receiver waits
-    // for the sender). Copying frees the rx packet immediately; only
-    // chunks from peers running ahead pay for it.
-    auto buf = std::make_shared<std::vector<std::byte>>(msg.data,
-                                                        msg.data + msg.size);
-    comm::InMessage copy;
-    copy.src = msg.src;
-    copy.data = buf->data();
-    copy.size = msg.size;
-    copy.release = [buf] {};  // buffer lives until the stash entry dies
-    if (msg.release) {
-      msg.release();
-      msg.release = nullptr;
-    }
-    std::lock_guard<rt::Spinlock> guard(stash_lock_);
-    if (stash_count_ < cfg_.stash_cap) {
-      stash_[header.phase_id].push_back(std::move(copy));
-      ++stash_count_;
-      if (stash_count_ > stats_.stash_peak.load(std::memory_order_relaxed))
-        stats_.stash_peak.store(stash_count_, std::memory_order_relaxed);
-      return;
-    }
-    // Stash at capacity: the transport lease is already released; count the
-    // drop and fall through without touching msg.release again.
-    stats_.stash_drops.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  // Stale phase or beyond the window: drop. release() recycles the
-  // transport resources, which is all the "nack" the reliable fabric
-  // needs - delivery already completed at that layer.
-  stats_.stash_drops.fetch_add(1, std::memory_order_relaxed);
-  if (msg.release) msg.release();
-}
-
-void HostEngine::purge_stale_stash() {
-  std::lock_guard<rt::Spinlock> guard(stash_lock_);
-  auto it = stash_.begin();
-  while (it != stash_.end() && it->first < ledger_.id()) {
-    for (comm::InMessage& m : it->second) {
-      stats_.stash_drops.fetch_add(1, std::memory_order_relaxed);
-      if (m.release) m.release();
-      --stash_count_;
-    }
-    it = stash_.erase(it);
-  }
-  if (!pending_direct_.empty()) {
-    auto out = pending_direct_.begin();
-    for (const comm::DirectSignal& sig : pending_direct_) {
-      if (sig.phase_id >= ledger_.id())
-        *out++ = sig;
-      else
-        stats_.direct_stale.fetch_add(1, std::memory_order_relaxed);
-    }
-    pending_direct_.erase(out, pending_direct_.end());
-    pending_direct_count_.store(pending_direct_.size(),
-                                std::memory_order_release);
-  }
 }
 
 void HostEngine::run_slice(const ApplySlice& slice) {
@@ -505,23 +403,6 @@ void HostEngine::enqueue_apply(comm::InMessage&& msg,
                can_apply);
 }
 
-bool HostEngine::poll_direct_signal(comm::DirectSignal& out) {
-  if (pending_direct_count_.load(std::memory_order_acquire) > 0) {
-    std::lock_guard<rt::Spinlock> guard(stash_lock_);
-    const std::uint32_t current = ledger_.id();
-    for (auto it = pending_direct_.begin(); it != pending_direct_.end();
-         ++it) {
-      if (it->phase_id == current) {
-        out = *it;
-        pending_direct_.erase(it);
-        pending_direct_count_.fetch_sub(1, std::memory_order_release);
-        return true;
-      }
-    }
-  }
-  return backend_->poll_direct(out);
-}
-
 void HostEngine::handle_direct_signal(const comm::DirectSignal& sig,
                                       const ScatterFn& scatter,
                                       bool can_apply) {
@@ -529,50 +410,28 @@ void HostEngine::handle_direct_signal(const comm::DirectSignal& sig,
   if (sig.phase_id != current) {
     // A put for a later phase landed early. Its region is a different
     // (pattern, src) slot than anything the current phase reads, so the
-    // payload sits untouched; stash just the notification.
-    if (sig.phase_id > current &&
-        sig.phase_id - current <= kStashPhaseWindow) {
-      std::lock_guard<rt::Spinlock> guard(stash_lock_);
-      if (pending_direct_.size() < cfg_.stash_cap) {
-        pending_direct_.push_back(sig);
-        pending_direct_count_.fetch_add(1, std::memory_order_release);
-        return;
-      }
-    }
-    stats_.direct_stale.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  // Validation ladder for a current-phase signal: the pattern must match
-  // the phase, the generation must match OUR live registration (a put that
-  // raced a recovery epoch fails here), and the claimed size must fit the
-  // region. Stale signals are dropped WITHOUT being counted - they belong
-  // to no current tail ledger, so dropping them cannot stall completion.
-  const auto it = direct_homes_.find(direct_key(sig.pattern_key, sig.src));
-  if (sig.pattern_key != phase_pattern_key_ || it == direct_homes_.end() ||
-      it->second.region.generation != sig.generation ||
-      sig.bytes < comm::kChunkHeaderBytes ||
-      sig.bytes > it->second.region.capacity) {
-    stats_.direct_stale.fetch_add(1, std::memory_order_relaxed);
+    // payload sits untouched; stash just the notification (or drop a stale
+    // one, counted as direct_stale).
+    stash_.park(sig, current);
     return;
   }
   comm::InMessage msg;
-  msg.src = sig.src;
-  msg.data = it->second.buf.get();
-  msg.size = sig.bytes;
-  // No release: the payload lives in the engine-owned region and the apply
-  // pipeline scatters straight from it (zero copy).
-  const comm::ChunkHeader header = msg.header();
-  if (!header.valid() || header.phase_id != sig.phase_id ||
-      comm::kChunkHeaderBytes + header.payload_bytes != sig.bytes) {
-    // Generation-valid but unparsable: the put itself is genuine (the
-    // sender's tail expects it), so it is counted and only its content
-    // rejected.
-    stats_.decode_rejects.fetch_add(1, std::memory_order_relaxed);
-    ledger_.note_direct(sig.src);
-    return;
+  comm::ChunkHeader header;
+  switch (landing_.land(sig, phase_pattern_key_, msg, header)) {
+    case comm::LandingRegions::Verdict::Stale:
+      // Belongs to no current tail ledger, so dropping it uncounted cannot
+      // stall completion.
+      stats_.direct_stale.fetch_add(1, std::memory_order_relaxed);
+      return;
+    case comm::LandingRegions::Verdict::Garbled:
+      stats_.decode_rejects.fetch_add(1, std::memory_order_relaxed);
+      ledger_.note_direct(sig.src);
+      return;
+    case comm::LandingRegions::Verdict::Accept:
+      enqueue_apply(std::move(msg), header, scatter, can_apply,
+                    /*is_direct=*/true);
+      return;
   }
-  enqueue_apply(std::move(msg), header, scatter, can_apply,
-                /*is_direct=*/true);
 }
 
 bool HostEngine::drain_one(const ScatterFn& scatter, bool can_apply) {
@@ -583,7 +442,7 @@ bool HostEngine::drain_one(const ScatterFn& scatter, bool can_apply) {
     }
   }
   comm::DirectSignal sig;
-  if (poll_direct_signal(sig)) {
+  if (stash_.pop(ledger_.id(), sig) || backend_->poll_direct(sig)) {
     handle_direct_signal(sig, scatter, can_apply);
     return true;
   }
@@ -605,7 +464,7 @@ bool HostEngine::drain_one(const ScatterFn& scatter, bool can_apply) {
   if (header.phase_id != ledger_.id()) {
     // A peer already raced ahead into a later phase; keep for later
     // (bounded) or drop a stale/fuzzed id.
-    stash_message(std::move(msg), header);
+    stash_.park(std::move(msg), header.phase_id, ledger_.id());
     return true;
   }
   if (header.payload_bytes == 0) {
@@ -630,31 +489,6 @@ bool HostEngine::drain_one(const ScatterFn& scatter, bool can_apply) {
 // Direct-write path (DESIGN.md §15)
 // ---------------------------------------------------------------------------
 
-void HostEngine::ensure_direct_homes(const comm::PhaseSpec& spec,
-                                     std::size_t rec_bytes,
-                                     const graph::CompressedPlan& recv_plan) {
-  for (const int src : spec.recv_from) {
-    const std::uint64_t key = direct_key(spec.pattern_key, src);
-    if (direct_homes_.count(key) != 0) continue;
-    const std::size_t span = recv_plan.size(src);
-    // Sized so the whole list fits in ANY wire format: worst-case sparse
-    // records plus the dense bitmap (Forced mode direct-puts sparse rounds).
-    const std::size_t cap =
-        comm::kChunkHeaderBytes + span * rec_bytes + (span + 7) / 8;
-    DirectHome home;
-    home.buf.reset(new std::byte[cap]);
-    const std::uint32_t gen = cluster_.direct_directory().next_generation();
-    home.region =
-        backend_->register_direct_region(src, home.buf.get(), cap, gen);
-    if (!home.region.valid()) continue;
-    if (cfg_.backend_options.tracker != nullptr)
-      cfg_.backend_options.tracker->on_alloc(cap);
-    cluster_.direct_directory().publish(graph_.host_id, src, spec.pattern_key,
-                                        home.region);
-    direct_homes_.emplace(key, std::move(home));
-  }
-}
-
 bool HostEngine::try_direct_put(int dst, const comm::DirectRegion& region,
                                 comm::BufferLease& lease, std::size_t bytes,
                                 std::uint32_t phase_id,
@@ -676,26 +510,10 @@ bool HostEngine::try_direct_put(int dst, const comm::DirectRegion& region,
   // when the put cannot hard-fail (capacity was pre-checked against the
   // region and the emulation never soft-fails), so queued == sent and the
   // direct count announced in the tail stays truthful.
-  auto* sw = new SendWork;
-  sw->dst = dst;
-  sw->direct = true;
-  sw->region = region;
-  sw->phase_id = phase_id;
-  sw->pattern_key = pattern_key;
-  if (lease.heap.size() != bytes) lease.heap.resize(bytes);
-  sw->payload = std::move(lease.heap);
-  lease = comm::BufferLease{};
-  sends_pending_.fetch_add(1, std::memory_order_acq_rel);
-  rt::Backoff backoff;
-  while (!send_queue_.try_push(sw)) {
-    if (aborting()) {
-      delete sw;
-      sends_pending_.fetch_sub(1, std::memory_order_release);
-      return false;
-    }
-    if (!drain_one(scatter, can_apply)) backoff.pause();
-  }
-  return true;
+  return queue_send(
+      new SendWork{dst, std::exchange(lease, comm::BufferLease{}), bytes,
+                   /*direct=*/true, region, phase_id, pattern_key},
+      scatter, can_apply);
 }
 
 // ---------------------------------------------------------------------------
@@ -746,9 +564,19 @@ void HostEngine::execute_phase(std::uint32_t pattern, std::size_t rec_bytes,
   const bool direct_capable =
       cfg_.direct_write != comm::DirectWriteMode::Off &&
       backend_->supports_direct_write();
-  if (direct_capable) ensure_direct_homes(spec, rec_bytes, recv_plan);
+  if (direct_capable) {
+    for (const int src : spec.recv_from) {
+      // Sized so the whole list fits in ANY wire format: worst-case sparse
+      // records plus the dense bitmap (Forced mode direct-puts sparse
+      // rounds).
+      const std::size_t span = recv_plan.size(src);
+      landing_.ensure(*backend_, spec.pattern_key, src,
+                      comm::kChunkHeaderBytes + span * rec_bytes +
+                          (span + 7) / 8);
+    }
+  }
   stats_.apply_threads.store(apply_workers_, std::memory_order_relaxed);
-  purge_stale_stash();
+  stash_.purge(ledger_.id());
   post_cmd(Cmd::BeginPhase, &spec);
 
   // Work decomposition: each peer's shared list is split into ranges that
@@ -822,7 +650,6 @@ void HostEngine::execute_phase(std::uint32_t pattern, std::size_t rec_bytes,
 
   std::atomic<std::size_t> next_item{0};
   std::atomic<std::size_t> work_left{total_ranges};
-  const bool inline_send = backend_->thread_safe_send();
 
   // Format bookkeeping shared by the two-sided, direct and fallback paths.
   const auto note_format = [&](std::size_t pi, const comm::EncodedChunk& e) {
@@ -843,6 +670,35 @@ void HostEngine::execute_phase(std::uint32_t pattern, std::size_t rec_bytes,
     if (e.bytes < sparse_worst)
       stats_.bytes_saved.fetch_add(sparse_worst - e.bytes,
                                    std::memory_order_relaxed);
+  };
+
+  // Frames encoded range [base, base + span) for `dst` at the front of
+  // `lease` - the header of the two-sided data chunk, the direct frame and
+  // the fallback re-gather chunk alike. The causal-trace sampling decision
+  // is deterministic in (host, phase, range, dst), so a seeded re-run
+  // samples the same messages; the destination salt keeps chunks that cover
+  // the same range for two peers on distinct trace ids. finalize() comes
+  // last: the self-check covers the trace fields.
+  const auto frame = [&](comm::BufferLease& lease, int dst,
+                         const comm::EncodedChunk& e, std::uint32_t base,
+                         std::uint32_t span, std::size_t idx,
+                         std::uint16_t num_chunks) {
+    comm::ChunkHeader h;
+    h.phase_id = spec.phase_id;
+    h.payload_bytes = static_cast<std::uint32_t>(e.bytes);
+    h.base_pos = base;
+    h.span = span;
+    h.chunk_idx = static_cast<std::uint16_t>(idx & 0xFFFF);
+    h.num_chunks = num_chunks;
+    h.format = static_cast<std::uint8_t>(e.format);
+    if (e.format == comm::WireFormat::Dense && e.all_set)
+      h.flags |= comm::kFlagDenseFull;
+    h.trace_id = telemetry::sample_trace_id(static_cast<std::uint32_t>(me),
+                                            spec.phase_id, base,
+                                            static_cast<std::uint32_t>(dst));
+    h.finalize();
+    std::memcpy(lease.data, &h, sizeof(h));
+    return h;
   };
 
   team_->run([&](std::size_t tid) {
@@ -873,17 +729,10 @@ void HostEngine::execute_phase(std::uint32_t pattern, std::size_t rec_bytes,
       comm::BufferLease lease;
       const ReserveFn reserve = [&](std::size_t need) -> std::byte* {
         const std::size_t total = comm::kChunkHeaderBytes + need;
-        if (inline_send && !direct_this) {
-          lease = backend_->acquire(dst, total);
-        } else {
-          // Never call into a non-thread-safe backend from compute threads
-          // (and direct frames are staged on the heap: direct_put snapshots
-          // the payload, so no backend buffer is involved); build the heap
-          // buffer here.
-          lease.heap.resize(total);
-          lease.data = lease.heap.data();
-          lease.capacity = total;
-        }
+        // Direct frames are staged on the heap: direct_put snapshots the
+        // payload, so no backend buffer is involved.
+        lease = direct_this ? comm::BufferLease::on_heap(total)
+                            : backend_->acquire(dst, total);
         return lease.data + comm::kChunkHeaderBytes;
       };
 
@@ -902,21 +751,8 @@ void HostEngine::execute_phase(std::uint32_t pattern, std::size_t rec_bytes,
         // peer's registered region with one put; completion travels as a
         // counted signal, and the tail announces the count.
         if (enc.records > 0) {
-          comm::ChunkHeader header;
-          header.phase_id = spec.phase_id;
-          header.payload_bytes = static_cast<std::uint32_t>(enc.bytes);
-          header.base_pos = 0;
-          header.span = hi;
-          header.chunk_idx = 0;
-          header.num_chunks = 0;  // accounted via note_direct, not the tail
-          header.format = static_cast<std::uint8_t>(enc.format);
-          if (enc.format == comm::WireFormat::Dense && enc.all_set)
-            header.flags |= comm::kFlagDenseFull;
-          header.trace_id = telemetry::sample_trace_id(
-              static_cast<std::uint32_t>(me), spec.phase_id, 0,
-              static_cast<std::uint32_t>(dst));
-          header.finalize();
-          std::memcpy(lease.data, &header, sizeof(header));
+          // num_chunks 0: accounted via note_direct, not the tail.
+          frame(lease, dst, enc, 0, hi, 0, 0);
           const std::size_t total = comm::kChunkHeaderBytes + enc.bytes;
           bool sent_direct = false;
           if (total <= direct_plan[pi].region.capacity) {
@@ -942,9 +778,7 @@ void HostEngine::execute_phase(std::uint32_t pattern, std::size_t rec_bytes,
             // is counted by note_chunk and the tail.
             stats_.direct_fallbacks.fetch_add(1, std::memory_order_relaxed);
             if (single_chunk) {
-              header.num_chunks = 1;
-              header.finalize();
-              std::memcpy(lease.data, &header, sizeof(header));
+              frame(lease, dst, enc, 0, hi, 0, 1);
               telemetry::Span send_span("abelian", "send", me);
               dispatch_chunk(dst, lease, total, scatter, can_apply);
               pp.chunks_sent.fetch_add(1, std::memory_order_release);
@@ -953,7 +787,7 @@ void HostEngine::execute_phase(std::uint32_t pattern, std::size_t rec_bytes,
               // Streaming backend: the whole-list staging may exceed the
               // chunk cap, so re-gather in chunk-sized ranges through the
               // regular two-sided path (rare - a revive window).
-              lease = comm::BufferLease{};
+              backend_->abandon(lease);
               for (std::size_t flo = 0; flo < list_size; flo += span_cap) {
                 const auto sub_lo = static_cast<std::uint32_t>(flo);
                 const auto sub_hi = static_cast<std::uint32_t>(
@@ -961,14 +795,7 @@ void HostEngine::execute_phase(std::uint32_t pattern, std::size_t rec_bytes,
                 comm::BufferLease sub;
                 const ReserveFn sub_reserve =
                     [&](std::size_t need) -> std::byte* {
-                  const std::size_t t = comm::kChunkHeaderBytes + need;
-                  if (inline_send) {
-                    sub = backend_->acquire(dst, t);
-                  } else {
-                    sub.heap.resize(t);
-                    sub.data = sub.heap.data();
-                    sub.capacity = t;
-                  }
+                  sub = backend_->acquire(dst, comm::kChunkHeaderBytes + need);
                   return sub.data + comm::kChunkHeaderBytes;
                 };
                 comm::EncodedChunk senc;
@@ -979,30 +806,11 @@ void HostEngine::execute_phase(std::uint32_t pattern, std::size_t rec_bytes,
                                              std::memory_order_relaxed);
                 }
                 if (senc.records == 0) {
-                  if (sub) {
-                    if (inline_send)
-                      backend_->abandon(sub);
-                    else
-                      sub = comm::BufferLease{};
-                  }
+                  backend_->abandon(sub);
                   continue;
                 }
-                comm::ChunkHeader sh;
-                sh.phase_id = spec.phase_id;
-                sh.payload_bytes = static_cast<std::uint32_t>(senc.bytes);
-                sh.base_pos = sub_lo;
-                sh.span = sub_hi - sub_lo;
-                sh.chunk_idx = static_cast<std::uint16_t>(
-                    pp.chunks_sent.load(std::memory_order_relaxed) & 0xFFFF);
-                sh.num_chunks = 0;
-                sh.format = static_cast<std::uint8_t>(senc.format);
-                if (senc.format == comm::WireFormat::Dense && senc.all_set)
-                  sh.flags |= comm::kFlagDenseFull;
-                sh.trace_id = telemetry::sample_trace_id(
-                    static_cast<std::uint32_t>(me), spec.phase_id, sub_lo,
-                    static_cast<std::uint32_t>(dst));
-                sh.finalize();
-                std::memcpy(sub.data, &sh, sizeof(sh));
+                frame(sub, dst, senc, sub_lo, sub_hi - sub_lo,
+                      pp.chunks_sent.load(std::memory_order_relaxed), 0);
                 telemetry::Span send_span("abelian", "send", me);
                 dispatch_chunk(dst, sub, comm::kChunkHeaderBytes + senc.bytes,
                                scatter, can_apply);
@@ -1012,33 +820,12 @@ void HostEngine::execute_phase(std::uint32_t pattern, std::size_t rec_bytes,
             }
           }
         }
-        if (lease) {
-          if (lease.pooled)
-            backend_->abandon(lease);
-          else
-            lease = comm::BufferLease{};  // heap staging, simply dropped
-        }
+        backend_->abandon(lease);  // heap staging the put did not consume
       } else if (enc.records > 0 || single_chunk) {
-        comm::ChunkHeader header;
-        header.phase_id = spec.phase_id;
-        header.payload_bytes = static_cast<std::uint32_t>(enc.bytes);
-        header.base_pos = lo;
-        header.span = hi - lo;
-        header.chunk_idx =
-            static_cast<std::uint16_t>((r - range_offset[pi]) & 0xFFFF);
-        header.num_chunks = single_chunk ? 1 : 0;
-        header.format = static_cast<std::uint8_t>(enc.format);
-        if (enc.format == comm::WireFormat::Dense && enc.all_set)
-          header.flags |= comm::kFlagDenseFull;
-        // Causal-trace sampling decision: deterministic in (host, phase,
-        // range, dst), so a seeded re-run samples the same messages. The
-        // destination salt keeps chunks that cover the same range for two
-        // peers on distinct trace ids. Must precede finalize() - the
-        // self-check covers the trace fields.
-        header.trace_id = telemetry::sample_trace_id(
-            static_cast<std::uint32_t>(me), spec.phase_id, lo,
-            static_cast<std::uint32_t>(dst));
-        header.finalize();
+        if (!lease) reserve(0);  // clean single-chunk message: header only
+        const comm::ChunkHeader header =
+            frame(lease, dst, enc, lo, hi - lo, r - range_offset[pi],
+                  single_chunk ? 1 : 0);
         if (telemetry::enabled() && header.trace_id != 0) {
           char hbuf[80];
           std::snprintf(hbuf, sizeof(hbuf),
@@ -1047,8 +834,6 @@ void HostEngine::execute_phase(std::uint32_t pattern, std::size_t rec_bytes,
           telemetry::hop("encode", static_cast<std::uint32_t>(me),
                          header.trace_id, 0, hbuf);
         }
-        if (!lease) reserve(0);  // clean single-chunk message: header only
-        std::memcpy(lease.data, &header, sizeof(header));
         {
           telemetry::Span send_span("abelian", "send", me);
           dispatch_chunk(dst, lease, comm::kChunkHeaderBytes + enc.bytes,
@@ -1056,11 +841,8 @@ void HostEngine::execute_phase(std::uint32_t pattern, std::size_t rec_bytes,
         }
         pp.chunks_sent.fetch_add(1, std::memory_order_release);
         note_format(pi, enc);
-      } else if (lease) {
-        if (inline_send)
-          backend_->abandon(lease);
-        else
-          lease = comm::BufferLease{};
+      } else {
+        backend_->abandon(lease);  // clean range: nothing to send
       }
 
       if (pp.ranges_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {

@@ -10,13 +10,17 @@
 //   3. the dedicated communication thread interleaves sending and receiving
 //      the whole time; no blocking operations are used.
 //
-// Thread discipline per backend (see comm/backend.hpp):
-//   * LCI (thread_safe): compute threads call try_send / try_recv directly;
-//     the communication thread is exactly the LCI server (Algorithm 3).
-//   * MPI-Probe (FUNNELED) / MPI-RMA: every backend call is executed by the
-//     communication thread; compute threads talk to it through a
-//     multi-producer send queue and a concurrent receive queue, and phase
-//     transitions travel through a command mailbox.
+// Thread discipline per backend (see comm/backend.hpp). Compute threads
+// always lease send buffers themselves (acquire() is thread-safe everywhere);
+// what differs is who commits them and who receives:
+//   * LCI (thread_safe): compute threads commit / try_recv directly; the
+//     communication thread is exactly the LCI server (Algorithm 3).
+//   * MPI-RMA: compute threads commit (put) directly; receives and epochs
+//     stay on the communication thread.
+//   * MPI-Probe (FUNNELED): the communication thread makes every MPI call;
+//     compute threads hand it filled leases through a multi-producer send
+//     queue and take messages from a concurrent receive queue.
+// Phase transitions on the MPI layers travel through a command mailbox.
 #pragma once
 
 #include <atomic>
@@ -31,6 +35,8 @@
 #include "abelian/cluster.hpp"
 #include "abelian/sync.hpp"
 #include "comm/backend.hpp"
+#include "comm/direct.hpp"
+#include "comm/phase_stash.hpp"
 #include "comm/serializer.hpp"
 #include "comm/stream_ledger.hpp"
 #include "graph/dist_graph.hpp"
@@ -42,13 +48,6 @@
 #include "telemetry/metrics.hpp"
 
 namespace lcr::abelian {
-
-/// How many phases ahead of the current one a received chunk may be and
-/// still be stashed. Legitimate skew is tiny - every app round ends in an
-/// OOB collective and runs at most a reduce + a broadcast phase, so a peer
-/// can race at most a couple of phases ahead; anything further is a fuzzed
-/// or corrupted phase id and is dropped instead of stashed.
-inline constexpr std::uint32_t kStashPhaseWindow = 8;
 
 struct EngineConfig {
   comm::BackendKind backend = comm::BackendKind::Lci;
@@ -65,7 +64,7 @@ struct EngineConfig {
   std::uint32_t apply_slice_records = 4096;
   /// Bound on stashed out-of-order (future-phase) messages; beyond it new
   /// arrivals are dropped and counted (sync.stash_drops).
-  std::size_t stash_cap = 8192;
+  std::size_t stash_cap = comm::kDefaultStashCap;
   /// One-sided direct-write policy (DESIGN.md §15). Resolved against the
   /// LCR_DIRECT_WRITE environment override at engine construction.
   comm::DirectWriteMode direct_write = comm::DirectWriteMode::Auto;
@@ -98,7 +97,8 @@ struct EngineStats {
   /// Gauge: most future-phase messages ever stashed at once.
   std::atomic<std::uint64_t> stash_peak{0};
   /// Future-phase messages dropped: stash at capacity, phase id beyond the
-  /// stash window, or stale (behind the current phase).
+  /// stash window (comm::kStashPhaseWindow), or stale (behind the current
+  /// phase).
   std::atomic<std::uint64_t> stash_drops{0};
   /// Direct-write puts shipped (one per (peer, round) on the direct path).
   std::atomic<std::uint64_t> direct_sends{0};
@@ -259,13 +259,16 @@ class HostEngine {
   }
 
  private:
+  /// A filled lease handed to the comm thread (FUNNELED backends), which
+  /// commits its first `bytes`.
   struct SendWork {
     int dst = -1;
-    std::vector<std::byte> payload;
-    /// Direct-put work item (FUNNELED backends): the comm thread issues
-    /// direct_put(payload) instead of try_send. Only queued when the put
-    /// cannot hard-fail (capacity pre-checked against the region), so the
-    /// direct count the compute thread put in the tail stays truthful.
+    comm::BufferLease lease;
+    std::size_t bytes = 0;
+    /// Direct-put work item: the comm thread issues direct_put(lease.data,
+    /// bytes) instead of commit. Only queued when the put cannot hard-fail
+    /// (capacity pre-checked against the region), so the direct count the
+    /// compute thread put in the tail stays truthful.
     bool direct = false;
     comm::DirectRegion region;
     std::uint32_t phase_id = 0;
@@ -299,12 +302,15 @@ class HostEngine {
   void comm_thread_loop();
   void post_cmd(Cmd cmd, const comm::PhaseSpec* spec);
   /// Ships one framed chunk held in `lease` (header at offset 0): commits
-  /// leased buffers directly for thread-safe backends, or hands the heap
-  /// buffer to the comm thread's send queue. Relieves back pressure by
-  /// scattering while it waits.
+  /// it directly for thread-safe backends, or hands the lease to the comm
+  /// thread's send queue. Relieves back pressure by scattering while it
+  /// waits.
   void dispatch_chunk(int dst, comm::BufferLease& lease,
                       std::size_t total_bytes, const ScatterFn& scatter,
                       bool can_apply);
+  /// Hands `sw` to the comm thread, scattering while the send queue is
+  /// full. False = the phase is aborting and `sw` was dropped.
+  bool queue_send(SendWork* sw, const ScatterFn& scatter, bool can_apply);
   /// Sends the streaming tail for `dst`: a header-only chunk whose
   /// num_chunks carries the per-peer total (data chunks + itself) and whose
   /// base_pos carries the peer's direct-put count (tails have no records,
@@ -312,10 +318,6 @@ class HostEngine {
   void send_tail(int dst, std::uint32_t data_chunks,
                  std::uint32_t direct_count, const ScatterFn& scatter,
                  bool can_apply);
-  /// Registers (once per pattern_key) and publishes the per-source direct-
-  /// write landing regions for this phase's receive peers.
-  void ensure_direct_homes(const comm::PhaseSpec& spec, std::size_t rec_bytes,
-                           const graph::CompressedPlan& recv_plan);
   /// Ships one framed whole-list payload as a direct put: retries soft
   /// failures (scattering meanwhile), or queues to the comm thread on
   /// FUNNELED backends. False = the put cannot succeed and the caller must
@@ -324,11 +326,9 @@ class HostEngine {
                       comm::BufferLease& lease, std::size_t bytes,
                       std::uint32_t phase_id, std::uint32_t pattern_key,
                       const ScatterFn& scatter, bool can_apply);
-  /// Pops the next direct signal: a stashed one matching the current phase
-  /// first, else whatever the backend has queued.
-  bool poll_direct_signal(comm::DirectSignal& out);
-  /// Validates one direct signal (phase / pattern / generation / bounds)
-  /// and turns a genuine one into a zero-copy apply job over its region.
+  /// Stashes a future-phase direct signal, or validates a current one
+  /// through the landing-region ladder and turns a genuine one into a
+  /// zero-copy apply job over its region.
   void handle_direct_signal(const comm::DirectSignal& sig,
                             const ScatterFn& scatter, bool can_apply);
   /// Makes receive-side progress: an apply worker (can_apply) prefers
@@ -354,11 +354,6 @@ class HostEngine {
   /// slice count and, on the last slice, releases the message and deletes
   /// the job - no note_chunk, the phase is being abandoned.
   void abort_slice(const ApplySlice& slice);
-  /// Stashes a future-phase message (bounded; beyond the cap or the phase
-  /// window it is dropped and counted) or drops a stale one.
-  void stash_message(comm::InMessage&& msg, const comm::ChunkHeader& header);
-  /// Drops stashed messages for phases the engine has already moved past.
-  void purge_stale_stash();
 
   Cluster& cluster_;
   const graph::DistGraph& graph_;
@@ -378,10 +373,10 @@ class HostEngine {
   std::atomic<std::size_t> sends_pending_{0};
   rt::MpmcQueue<comm::InMessage*> recv_queue_;
 
-  // Messages that arrived for a future phase (bounded by cfg_.stash_cap).
-  rt::Spinlock stash_lock_;
-  std::map<std::uint32_t, std::deque<comm::InMessage>> stash_;
-  std::size_t stash_count_ = 0;  // guarded by stash_lock_
+  EngineStats stats_;  // before stash_, which reports into it
+
+  // Chunks and direct signals that arrived for a future phase.
+  comm::PhaseStash stash_;
 
   // --- Direct-write state (DESIGN.md §15) ---
   static std::uint64_t direct_key(std::uint32_t pattern_key,
@@ -390,13 +385,8 @@ class HostEngine {
            static_cast<std::uint32_t>(peer);
   }
   /// Receiver-side landing regions, one per (pattern_key, src), registered
-  /// on first use and kept until teardown. Mutated only by the host-main
-  /// thread between phases; read by apply/pump threads during one.
-  struct DirectHome {
-    std::unique_ptr<std::byte[]> buf;
-    comm::DirectRegion region;
-  };
-  std::map<std::uint64_t, DirectHome> direct_homes_;
+  /// on first use and kept until teardown.
+  comm::LandingRegions landing_;
   /// Sender-side density predictor per (pattern_key, dst): did the last
   /// stream to this peer produce a dense chunk? Auto mode goes direct when
   /// it did - density evolves slowly across rounds, and a mispredict only
@@ -406,9 +396,6 @@ class HostEngine {
   /// compute thread per phase (the one running the peer's last range).
   std::map<std::uint64_t, char> dense_prior_;
   std::uint32_t phase_pattern_key_ = 0;  // written between phases only
-  // Direct signals that arrived for a future phase (bounded by stash_cap).
-  std::vector<comm::DirectSignal> pending_direct_;  // guarded by stash_lock_
-  std::atomic<std::size_t> pending_direct_count_{0};
 
   // Parallel apply pipeline (DESIGN.md §12).
   rt::MpmcQueue<ApplySlice> apply_queue_;
@@ -420,7 +407,6 @@ class HostEngine {
   comm::StreamLedger ledger_;
   std::uint32_t phase_counter_ = 0;
 
-  EngineStats stats_;
   telemetry::Registration stat_reg_;  // EngineStats probes ("abelian.*")
 };
 

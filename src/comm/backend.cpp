@@ -10,20 +10,7 @@
 namespace lcr::comm {
 
 BufferLease Backend::acquire(int /*dst*/, std::size_t max_bytes) {
-  BufferLease lease;
-  lease.heap.resize(max_bytes);
-  lease.data = lease.heap.data();
-  lease.capacity = max_bytes;
-  return lease;
-}
-
-bool Backend::commit(int dst, BufferLease& lease, std::size_t bytes) {
-  // Shrink-only: the lease was sized for the worst case, the message may be
-  // smaller. Never shrink-then-regrow - that would value-initialize the tail.
-  if (lease.heap.size() != bytes) lease.heap.resize(bytes);
-  if (!try_send(dst, lease.heap)) return false;
-  lease = BufferLease{};
-  return true;
+  return BufferLease::on_heap(max_bytes);
 }
 
 void Backend::abandon(BufferLease& lease) { lease = BufferLease{}; }

@@ -91,15 +91,25 @@ enum class DirectPutStatus : std::uint8_t { Ok, Retry, Unavailable };
 /// A writable send buffer handed out by a backend so gather can serialize
 /// records (and the chunk header) directly into wire memory - an LCI packet
 /// from the pre-registered pool, or plain heap for backends without native
-/// buffers. Move-only; exactly one of commit()/abandon() must consume it.
+/// buffers. Exactly one of commit()/abandon() must consume it.
 struct BufferLease {
   std::byte* data = nullptr;
   std::size_t capacity = 0;
   bool pooled = false;   ///< true when `data` is backend-owned wire memory
   void* token = nullptr; ///< backend-private handle (e.g. the lci::Packet*)
-  std::vector<std::byte> heap;  ///< backing store for the fallback lease
+  std::vector<std::byte> heap;  ///< backing store of a heap lease
 
   explicit operator bool() const noexcept { return data != nullptr; }
+
+  /// A lease backed by `bytes` of plain heap memory (the default acquire(),
+  /// and staging that never reaches commit(), e.g. direct-put frames).
+  static BufferLease on_heap(std::size_t bytes) {
+    BufferLease lease;
+    lease.heap.resize(bytes);
+    lease.data = lease.heap.data();
+    lease.capacity = bytes;
+    return lease;
+  }
 };
 
 class Backend {
@@ -107,10 +117,13 @@ class Backend {
   virtual ~Backend() = default;
 
   virtual const char* name() const = 0;
-  /// May compute threads call try_send directly? True for LCI (SEND-ENQ is
-  /// thread-safe) and for MPI-RMA ("the main compute thread ... will
-  /// instead perform RMA operations", Section III-C); false for MPI-Probe
-  /// (FUNNELED: the dedicated communication thread owns every MPI call).
+  /// May compute threads call commit() directly? True for LCI (SEND-ENQ is
+  /// thread-safe), for MPI-RMA ("the main compute thread ... will instead
+  /// perform RMA operations", Section III-C) and for the THREAD_MULTIPLE
+  /// MPI backend; false for MPI-Probe (FUNNELED: the dedicated
+  /// communication thread owns every MPI call, so compute threads queue
+  /// their filled leases to it). This is the only FUNNELED distinction on
+  /// the send side: acquire()/abandon() are thread-safe everywhere.
   virtual bool thread_safe_send() const = 0;
   /// May compute threads call try_recv directly? True only for LCI
   /// (RECV-DEQ); the MPI layers receive on the communication thread.
@@ -119,30 +132,28 @@ class Backend {
 
   virtual void begin_phase(const PhaseSpec& spec) = 0;
 
-  /// Attempts to hand one framed message (ChunkHeader already in `payload`)
-  /// to the network layer. On success the buffer is moved out of `payload`
-  /// and the backend reports its eventual free to the tracker. Returns false
-  /// - leaving `payload` intact - when resources are exhausted; the caller
-  /// must make progress (receive/scatter) and retry. This is LCI's
-  /// back-pressure surface; the MPI backends always accept and buffer
-  /// internally instead (the "lack of back pressure" of Section III-B).
-  /// If !thread_safe(), only the communication thread may call.
-  virtual bool try_send(int dst, std::vector<std::byte>& payload) = 0;
-
   /// Leases a writable buffer of at least `max_bytes` for a message to
-  /// `dst`. The default implementation hands out heap memory that commit()
-  /// forwards through try_send(); LCI overrides it to lease a registered
-  /// packet so the payload is serialized in place (zero-copy). Thread-safety
-  /// matches try_send: if !thread_safe_send(), comm thread only.
+  /// `dst`. The default hands out heap memory (BufferLease::on_heap); LCI
+  /// overrides it to lease a registered packet so the payload is serialized
+  /// in place (zero-copy). Thread-safe on every backend - plain heap needs
+  /// no lock and LCI's packet pool is locked - whatever thread_safe_send()
+  /// says, so compute threads may lease for a FUNNELED backend too.
   virtual BufferLease acquire(int dst, std::size_t max_bytes);
 
-  /// Submits the first `bytes` of a leased buffer (header already written at
-  /// offset 0). Returns false - leaving the lease intact for retry - when
-  /// the network layer is saturated; the caller must make progress and call
-  /// again. On success the lease is emptied and ownership transfers.
-  virtual bool commit(int dst, BufferLease& lease, std::size_t bytes);
+  /// The one send entry (SEND-ENQ): hands the first `bytes` of a leased
+  /// buffer (ChunkHeader already at offset 0) to the network layer. Takes a
+  /// pooled lease or a heap lease alike. On success the lease is emptied,
+  /// ownership transfers and the backend reports the eventual free of
+  /// `bytes` to the tracker. Returns false - leaving the lease intact for
+  /// retry - when resources are exhausted; the caller must make progress
+  /// (receive/scatter) and call again. This is LCI's back-pressure surface;
+  /// the MPI backends always accept and buffer internally instead (the
+  /// "lack of back pressure" of Section III-B). If !thread_safe_send(),
+  /// only the communication thread may call.
+  virtual bool commit(int dst, BufferLease& lease, std::size_t bytes) = 0;
 
-  /// Returns an unused lease to the backend (e.g. the range was clean).
+  /// Returns an unused lease to the backend (e.g. the range was clean);
+  /// a no-op on an empty lease. Thread-safe, like acquire().
   virtual void abandon(BufferLease& lease);
 
   /// Called once per phase by the communication thread after every send for

@@ -41,4 +41,48 @@ void DirectDirectory::retract_target(int target) {
   }
 }
 
+bool LandingRegions::ensure(Backend& backend, std::uint32_t pattern_key,
+                            int src, std::size_t capacity) {
+  if (regions_.count(Key{pattern_key, src}) != 0) return true;
+  Region r;
+  r.buf.reset(new std::byte[capacity]);
+  r.region = backend.register_direct_region(src, r.buf.get(), capacity,
+                                            directory_.next_generation());
+  if (!r.region.valid()) return false;
+  if (tracker_ != nullptr) tracker_->on_alloc(capacity);
+  directory_.publish(host_, src, pattern_key, r.region);
+  regions_.emplace(Key{pattern_key, src}, std::move(r));
+  return true;
+}
+
+LandingRegions::Verdict LandingRegions::land(const DirectSignal& sig,
+                                             std::uint32_t pattern_key,
+                                             InMessage& out,
+                                             ChunkHeader& header) const {
+  const auto it = regions_.find(Key{sig.pattern_key, sig.src});
+  if (sig.pattern_key != pattern_key || it == regions_.end() ||
+      it->second.region.generation != sig.generation ||
+      sig.bytes < kChunkHeaderBytes || sig.bytes > it->second.region.capacity)
+    return Verdict::Stale;
+  out.src = sig.src;
+  out.data = it->second.buf.get();
+  out.size = sig.bytes;
+  out.release = nullptr;
+  header = out.header();
+  if (!header.valid() || header.phase_id != sig.phase_id ||
+      kChunkHeaderBytes + header.payload_bytes != sig.bytes)
+    return Verdict::Garbled;
+  return Verdict::Accept;
+}
+
+void LandingRegions::close(std::unique_ptr<Backend>& backend) {
+  for (const auto& [key, r] : regions_) {
+    directory_.retract(host_, key.second, key.first, r.region.generation);
+    backend->release_direct_region(key.second, r.region);
+    if (tracker_ != nullptr) tracker_->on_free(r.region.capacity);
+  }
+  backend.reset();
+  regions_.clear();
+}
+
 }  // namespace lcr::comm

@@ -1,4 +1,5 @@
-// Out-of-band descriptor exchange for the direct-write path (DESIGN.md §15).
+// Out-of-band descriptor exchange and the receive-side landing-region table
+// of the direct-write path (DESIGN.md §15).
 //
 // Real clusters exchange RMA region descriptors (rkeys) through the job
 // launcher / PMI layer. The simulated cluster's stand-in is this directory:
@@ -15,9 +16,13 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <tuple>
+#include <utility>
 
 #include "comm/backend.hpp"
+#include "comm/message.hpp"
+#include "runtime/mem_tracker.hpp"
 #include "runtime/spinlock.hpp"
 
 namespace lcr::comm {
@@ -77,6 +82,65 @@ class DirectDirectory {
   mutable rt::Spinlock lock_;
   std::map<Key, DirectRegion> regions_;
   std::atomic<std::uint32_t> next_generation_{0};
+};
+
+/// A host's direct-write landing regions, one per (pattern_key, src): the
+/// buffer, its backend registration, its tracker charge and its directory
+/// entry, for both engines. ensure() and close() run between phases on the
+/// host-main thread; land() may run on any receive thread during one. The
+/// owner calls close() in its destructor.
+class LandingRegions {
+ public:
+  enum class Verdict : std::uint8_t {
+    Accept,   ///< a genuine put; `out` views its frame in place (zero copy)
+    Stale,    ///< not aimed at a live registration: drop it uncounted
+    Garbled,  ///< a genuine put whose frame does not parse: note it in the
+              ///< stream ledger (the sender's tail counts it), drop content
+  };
+
+  LandingRegions(DirectDirectory& directory, int host,
+                 rt::MemTracker* tracker)
+      : directory_(directory), host_(host), tracker_(tracker) {}
+
+  LandingRegions(const LandingRegions&) = delete;
+  LandingRegions& operator=(const LandingRegions&) = delete;
+
+  /// Unless it exists, allocates a `capacity`-byte region for peer `src`
+  /// under `pattern_key`, registers it with `backend` under a fresh
+  /// generation, charges the tracker and publishes it. False when the
+  /// backend refuses the registration.
+  bool ensure(Backend& backend, std::uint32_t pattern_key, int src,
+              std::size_t capacity);
+
+  /// The validation ladder for a signal of the current phase, whose pattern
+  /// is `pattern_key`. Stale: no region for (sig.pattern_key, sig.src), a
+  /// pattern other than `pattern_key`, a generation other than the region's
+  /// (a put that raced a recovery epoch), or `bytes` outside
+  /// [kChunkHeaderBytes, capacity]. Garbled: the frame's header fails its
+  /// self-check, names another phase, or disagrees with `bytes`. Accept
+  /// fills `out` (no release: the region is owned here) and `header`.
+  Verdict land(const DirectSignal& sig, std::uint32_t pattern_key,
+               InMessage& out, ChunkHeader& header) const;
+
+  /// Tears every region down in the one safe order: retract the directory
+  /// entries (origins revert to two-sided on the lookup miss), release the
+  /// registrations (tokens are never reused, so in-flight puts resolve
+  /// invalid at the fabric), refund the tracker, destroy `backend` (a
+  /// retransmitted put already in the endpoint's completion queue writes
+  /// region memory until the backend's final pump), then free the buffers.
+  void close(std::unique_ptr<Backend>& backend);
+
+ private:
+  struct Region {
+    std::unique_ptr<std::byte[]> buf;
+    DirectRegion region;
+  };
+  using Key = std::pair<std::uint32_t, int>;  // (pattern_key, src)
+
+  DirectDirectory& directory_;
+  const int host_;
+  rt::MemTracker* const tracker_;
+  std::map<Key, Region> regions_;
 };
 
 }  // namespace lcr::comm

@@ -50,24 +50,6 @@ LciBackend::~LciBackend() {
 
 void LciBackend::begin_phase(const PhaseSpec&) {}
 
-bool LciBackend::try_send(int dst, std::vector<std::byte>& payload) {
-  auto slot = std::make_unique<SendSlot>();
-  // SEND-ENQ: a false return is the non-fatal resource-exhaustion signal;
-  // surface it so the caller can receive/scatter (back pressure), not spin.
-  if (!queue_.send_enq(payload.data(), payload.size(),
-                       static_cast<fabric::Rank>(dst), kDataTag, slot->req)) {
-    return false;
-  }
-  slot->bytes = payload.size();
-  slot->payload = std::move(payload);
-  {
-    std::lock_guard<rt::Spinlock> guard(send_lock_);
-    in_flight_sends_.push_back(std::move(slot));
-  }
-  reap_sends();
-  return true;
-}
-
 BufferLease LciBackend::acquire(int dst, std::size_t max_bytes) {
   if (max_bytes <= queue_.eager_limit()) {
     if (lci::Packet* p = queue_.lease_tx_packet(); p != nullptr) {
@@ -79,20 +61,26 @@ BufferLease LciBackend::acquire(int dst, std::size_t max_bytes) {
       return lease;
     }
     // Pool at the lease floor: fall through to a heap lease rather than
-    // making the caller spin; commit() then pays one copy via try_send.
+    // making the caller spin; commit() then pays one copy via send_enq.
   }
   return Backend::acquire(dst, max_bytes);
 }
 
 bool LciBackend::commit(int dst, BufferLease& lease, std::size_t bytes) {
-  if (!lease.pooled) return Backend::commit(dst, lease, bytes);
-  auto* p = static_cast<lci::Packet*>(lease.token);
   auto slot = std::make_unique<SendSlot>();
   slot->bytes = bytes;
-  if (!queue_.send_leased(p, bytes, static_cast<fabric::Rank>(dst), kDataTag,
-                          slot->req)) {
-    return false;  // packet stays leased, payload intact; caller retries
-  }
+  const auto rank = static_cast<fabric::Rank>(dst);
+  // SEND-ENQ: a false return is the non-fatal resource-exhaustion signal;
+  // surface it so the caller can receive/scatter (back pressure), not spin.
+  // The lease stays intact (a pooled packet stays leased) for the retry.
+  const bool sent =
+      lease.pooled
+          ? queue_.send_leased(static_cast<lci::Packet*>(lease.token), bytes,
+                               rank, kDataTag, slot->req)
+          : queue_.send_enq(lease.data, bytes, rank, kDataTag, slot->req);
+  if (!sent) return false;
+  // A rendezvous send reads the heap buffer until the request completes.
+  if (!lease.pooled) slot->payload = std::move(lease.heap);
   {
     std::lock_guard<rt::Spinlock> guard(send_lock_);
     in_flight_sends_.push_back(std::move(slot));

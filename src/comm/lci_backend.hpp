@@ -1,10 +1,10 @@
 // LCI communication backend (paper Section III-D).
 //
-// Thin shim over lci::Queue: send() is SEND-ENQ with retry-on-exhaustion,
+// Thin shim over lci::Queue: commit() is SEND-ENQ with retry-on-exhaustion,
 // try_recv() is RECV-DEQ with the first-packet policy, progress() runs the
-// communication server step (Algorithm 3). Compute threads may call send and
-// try_recv directly (thread_safe() == true); completion is observed through
-// the request status flags, never a library call.
+// communication server step (Algorithm 3). Compute threads may call commit
+// and try_recv directly (thread_safe_send/recv() == true); completion is
+// observed through the request status flags, never a library call.
 #pragma once
 
 #include <deque>
@@ -29,12 +29,12 @@ class LciBackend final : public Backend {
   std::size_t chunk_bytes() const override { return queue_.eager_limit(); }
 
   void begin_phase(const PhaseSpec& spec) override;
-  bool try_send(int dst, std::vector<std::byte>& payload) override;
 
   /// Zero-copy lease path: messages that fit an eager packet are serialized
-  /// directly into pool memory and sent without any backend copy; larger
-  /// requests fall back to the base-class heap lease (which funnels through
-  /// try_send and the rendezvous path).
+  /// directly into pool memory and sent without any backend copy. Larger
+  /// requests, and requests while the pool sits at its lease floor, get the
+  /// base-class heap lease, which commit() sends through send_enq: one copy
+  /// into an eager packet, or rendezvous straight from the heap buffer.
   BufferLease acquire(int dst, std::size_t max_bytes) override;
   bool commit(int dst, BufferLease& lease, std::size_t bytes) override;
   void abandon(BufferLease& lease) override;
@@ -67,7 +67,7 @@ class LciBackend final : public Backend {
 
  private:
   struct SendSlot {
-    std::vector<std::byte> payload;  // empty for leased-packet sends
+    std::vector<std::byte> payload;  // heap lease, alive until req.done()
     std::size_t bytes = 0;           // wire bytes (tracker accounting)
     lci::Request req;
   };

@@ -20,16 +20,17 @@ MpiMultiBackend::MpiMultiBackend(fabric::Fabric& fabric, int rank,
                             /*declared_concurrency=*/callers}),
       tracker_(options.tracker) {}
 
-bool MpiMultiBackend::try_send(int dst, std::vector<std::byte>& payload) {
-  mpi::Request req = comm_.isend(payload.data(), payload.size(), dst, kTag);
+bool MpiMultiBackend::commit(int dst, BufferLease& lease, std::size_t bytes) {
+  mpi::Request req = comm_.isend(lease.data, bytes, dst, kTag);
   if (!comm_.test(req)) {
     // Rendezvous in flight: pin the buffer until completion.
     std::lock_guard<rt::Spinlock> guard(out_lock_);
-    outstanding_.push_back(Outstanding{std::move(payload), std::move(req)});
-  } else {
-    if (tracker_ != nullptr) tracker_->on_free(payload.size());
-    payload.clear();
+    outstanding_.push_back(
+        Outstanding{std::move(lease.heap), bytes, std::move(req)});
+  } else if (tracker_ != nullptr) {
+    tracker_->on_free(bytes);
   }
+  lease = BufferLease{};
   reap();
   return true;  // MPI accepts everything (no back pressure)
 }
@@ -68,7 +69,7 @@ void MpiMultiBackend::reap() {
   while (!outstanding_.empty() &&
          outstanding_.front().req->complete.load(std::memory_order_acquire)) {
     if (tracker_ != nullptr)
-      tracker_->on_free(outstanding_.front().payload.size());
+      tracker_->on_free(outstanding_.front().bytes);
     outstanding_.pop_front();
   }
 }

@@ -38,7 +38,7 @@ class MpiMultiBackend final : public Backend {
   std::size_t chunk_bytes() const override { return 0; }
 
   void begin_phase(const PhaseSpec&) override {}
-  bool try_send(int dst, std::vector<std::byte>& payload) override;
+  bool commit(int dst, BufferLease& lease, std::size_t bytes) override;
   void flush() override {}
   bool try_recv(InMessage& out) override;
   void progress() override;
@@ -46,7 +46,8 @@ class MpiMultiBackend final : public Backend {
 
  private:
   struct Outstanding {
-    std::vector<std::byte> payload;
+    std::vector<std::byte> payload;  // the lease's heap buffer
+    std::size_t bytes = 0;           // wire bytes (tracker accounting)
     mpi::Request req;
   };
 

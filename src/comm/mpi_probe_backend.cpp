@@ -38,16 +38,14 @@ MpiProbeBackend::~MpiProbeBackend() = default;
 
 void MpiProbeBackend::begin_phase(const PhaseSpec&) {}
 
-void MpiProbeBackend::append_record(AggBuffer& agg,
-                                    const std::vector<std::byte>& payload) {
-  const std::uint32_t size = static_cast<std::uint32_t>(payload.size());
+void MpiProbeBackend::append_record(AggBuffer& agg, const std::byte* record,
+                                    std::size_t bytes) {
+  const std::uint32_t size = static_cast<std::uint32_t>(bytes);
   const std::size_t old = agg.bytes.size();
-  agg.bytes.resize(old + sizeof(size) + payload.size());
+  agg.bytes.resize(old + sizeof(size) + bytes);
   std::memcpy(agg.bytes.data() + old, &size, sizeof(size));
-  std::memcpy(agg.bytes.data() + old + sizeof(size), payload.data(),
-              payload.size());
-  if (tracker_ != nullptr)
-    tracker_->on_alloc(sizeof(size) + payload.size());
+  std::memcpy(agg.bytes.data() + old + sizeof(size), record, bytes);
+  if (tracker_ != nullptr) tracker_->on_alloc(sizeof(size) + bytes);
   if (agg.oldest_ns == 0) agg.oldest_ns = rt::now_ns();
 }
 
@@ -62,24 +60,19 @@ void MpiProbeBackend::flush_agg(int dst) {
   out.req = comm_.isend(out.bytes.data(), out.bytes.size(), dst, kDataTag);
 }
 
-bool MpiProbeBackend::try_send(int dst, std::vector<std::byte>& payload) {
+bool MpiProbeBackend::commit(int dst, BufferLease& lease, std::size_t bytes) {
   // MPI never pushes back: everything is accepted and buffered.
   AggBuffer& agg = agg_[static_cast<std::size_t>(dst)];
-  if (payload.size() >= comm_.eager_limit()) {
-    // Large items are not aggregated (the buffered layer only batches items
-    // below the eager-send limit); flush what's pending to preserve order,
-    // then send the item as its own record.
-    append_record(agg, payload);
+  append_record(agg, lease.data, bytes);
+  // Large items are not aggregated (the buffered layer only batches items
+  // below the eager-send limit): flushing right after the append sends the
+  // item as its own record, behind whatever was pending, preserving order.
+  if (bytes >= comm_.eager_limit() || agg.bytes.size() >= comm_.eager_limit())
     flush_agg(dst);
-  } else {
-    append_record(agg, payload);
-    if (agg.bytes.size() >= comm_.eager_limit()) flush_agg(dst);
-  }
   // The record was copied into the aggregate (tracked above); the caller's
   // gather buffer is done.
-  if (tracker_ != nullptr) tracker_->on_free(payload.size());
-  payload.clear();
-  payload.shrink_to_fit();
+  if (tracker_ != nullptr) tracker_->on_free(bytes);
+  lease = BufferLease{};
   return true;
 }
 

@@ -37,7 +37,7 @@ class MpiProbeBackend final : public Backend {
   std::size_t chunk_bytes() const override { return comm_.eager_limit(); }
 
   void begin_phase(const PhaseSpec& spec) override;
-  bool try_send(int dst, std::vector<std::byte>& payload) override;
+  bool commit(int dst, BufferLease& lease, std::size_t bytes) override;
   void flush() override;
   bool try_recv(InMessage& out) override;
   void progress() override;
@@ -90,7 +90,8 @@ class MpiProbeBackend final : public Backend {
     mpi::Request req;
   };
 
-  void append_record(AggBuffer& agg, const std::vector<std::byte>& payload);
+  void append_record(AggBuffer& agg, const std::byte* record,
+                     std::size_t bytes);
   void flush_agg(int dst);
   void reap_outstanding();
   void pump_receives();

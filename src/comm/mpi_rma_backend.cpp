@@ -98,16 +98,14 @@ void MpiRmaBackend::begin_phase(const PhaseSpec& spec) {
   }
 }
 
-bool MpiRmaBackend::try_send(int dst, std::vector<std::byte>& payload) {
+bool MpiRmaBackend::commit(int dst, BufferLease& lease, std::size_t bytes) {
   assert(access_open_ && current_ != nullptr);
-  assert(payload.size() <=
-         spec_->max_send_bytes[static_cast<std::size_t>(dst)]);
+  assert(bytes <= spec_->max_send_bytes[static_cast<std::size_t>(dst)]);
   // One MPI_Put into dst's preallocated buffer in our window.
   current_->windows[static_cast<std::size_t>(comm_.rank())]->put(
-      payload.data(), payload.size(), dst, 0);
-  if (tracker_ != nullptr) tracker_->on_free(payload.size());
-  payload.clear();
-  payload.shrink_to_fit();
+      lease.data, bytes, dst, 0);
+  if (tracker_ != nullptr) tracker_->on_free(bytes);
+  lease = BufferLease{};
   return true;  // preallocated target: RMA never pushes back
 }
 

@@ -47,7 +47,7 @@ class MpiRmaBackend final : public Backend {
   std::size_t chunk_bytes() const override { return 0; }
 
   void begin_phase(const PhaseSpec& spec) override;
-  bool try_send(int dst, std::vector<std::byte>& payload) override;
+  bool commit(int dst, BufferLease& lease, std::size_t bytes) override;
   void flush() override;
   bool try_recv(InMessage& out) override;
   void progress() override;

@@ -19,7 +19,10 @@ const char* to_string(CommKind k) {
 
 GeminiHost::GeminiHost(abelian::Cluster& cluster, const graph::DistGraph& g,
                        GeminiConfig cfg)
-    : cluster_(cluster), g_(g), cfg_(cfg) {
+    : cluster_(cluster),
+      g_(g),
+      cfg_(cfg),
+      landing_(cluster.direct_directory(), g.host_id, cfg.tracker) {
   assert(g.policy == graph::PartitionPolicy::BlockedEdgeCut &&
          "Gemini requires a blocked edge-cut partition");
   comm::BackendOptions opt;
@@ -50,6 +53,7 @@ GeminiHost::GeminiHost(abelian::Cluster& cluster, const graph::DistGraph& g,
       {"gemini.messages", &stats_.messages},
       {"gemini.bytes", &stats_.bytes},
       {"gemini.direct_sends", &stats_.direct_sends},
+      {"gemini.stash_drops", &stats_.stash_drops},
       {"gemini.dense_rounds", &stats_.dense_rounds},
       {"gemini.sparse_rounds", &stats_.sparse_rounds},
       {"graph.mem_bytes", &stats_.graph_mem_bytes},
@@ -72,25 +76,12 @@ GeminiHost::GeminiHost(abelian::Cluster& cluster, const graph::DistGraph& g,
   direct_skip_.assign(static_cast<std::size_t>(g.num_hosts), 0);
   if (cfg_.direct_write != comm::DirectWriteMode::Off &&
       backend_->supports_direct_write()) {
-    direct_homes_.resize(static_cast<std::size_t>(g.num_hosts));
     const std::size_t cap =
         comm::kChunkHeaderBytes +
         g_.num_masters * (sizeof(graph::VertexId) + sizeof(double));
-    for (int src = 0; src < g.num_hosts; ++src) {
-      if (src == g.host_id) continue;
-      DirectHome& home = direct_homes_[static_cast<std::size_t>(src)];
-      home.buf = std::make_unique<std::byte[]>(cap);
-      const std::uint32_t gen = cluster.direct_directory().next_generation();
-      home.region =
-          backend_->register_direct_region(src, home.buf.get(), cap, gen);
-      if (!home.region.valid()) {
-        home.buf.reset();
-        continue;
-      }
-      if (cfg_.tracker != nullptr) cfg_.tracker->on_alloc(cap);
-      cluster.direct_directory().publish(g.host_id, src, kGeminiPatternKey,
-                                         home.region);
-    }
+    for (int src = 0; src < g.num_hosts; ++src)
+      if (src != g.host_id)
+        landing_.ensure(*backend_, kGeminiPatternKey, src, cap);
     direct_enabled_ = true;
   }
   server_thread_ = rt::AuxThread([this] {
@@ -105,37 +96,15 @@ GeminiHost::GeminiHost(abelian::Cluster& cluster, const graph::DistGraph& g,
 GeminiHost::~GeminiHost() {
   stop_.store(true, std::memory_order_release);
   if (server_thread_.joinable()) server_thread_.join();
-  // Retract published regions before tearing down the backend: once the
-  // directory entry is gone peers fall back to streaming, and a straggler
-  // put built against the old registration dies on the generation check of
-  // whatever occupies the region's token next (generations never repeat).
-  for (std::size_t src = 0; src < direct_homes_.size(); ++src) {
-    DirectHome& home = direct_homes_[src];
-    if (!home.region.valid()) continue;
-    cluster_.direct_directory().retract(g_.host_id, static_cast<int>(src),
-                                        kGeminiPatternKey,
-                                        home.region.generation);
-    backend_->release_direct_region(static_cast<int>(src), home.region);
-    if (cfg_.tracker != nullptr) cfg_.tracker->on_free(home.region.capacity);
-  }
   // Defensive: round completion implies the apply queue drained (chunks are
   // applied before note_chunk), so this only fires after an aborted round.
   while (auto m = apply_queue_.try_pop()) {
     if ((*m)->release) (*m)->release();
     delete *m;
   }
-  // Next-round chunks stashed when a round aborted still hold live comm
-  // resources; release them before the backend goes away.
-  for (auto& m : stash_)
-    if (m.release) m.release();
-  stash_.clear();
-  // The backend must quiesce before the region buffers are freed: a
-  // retransmitted put already materialized in the endpoint's CQ still
-  // references region memory until the backend's final pump, and backend_
-  // is declared before direct_homes_ so default member order would free the
-  // buffers first.
-  backend_.reset();
-  direct_homes_.clear();
+  // Stashed chunks are copies (no comm resources); the landing regions
+  // retract, unregister, quiesce the backend and only then free.
+  landing_.close(backend_);
 }
 
 std::vector<double> GeminiHost::run_pagerank(apps::PagerankOptions opt,

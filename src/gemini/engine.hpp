@@ -40,7 +40,9 @@
 #include "apps/pagerank_pull.hpp"
 #include "apps/round_loop.hpp"
 #include "comm/backend.hpp"
+#include "comm/direct.hpp"
 #include "comm/message.hpp"
+#include "comm/phase_stash.hpp"
 #include "comm/stream_ledger.hpp"
 #include "gemini/dense_combine.hpp"
 #include "graph/dist_graph.hpp"
@@ -101,6 +103,9 @@ struct GeminiStats {
   std::atomic<std::uint64_t> bytes{0};
   /// Dense frames that went out as one-sided direct puts (DESIGN.md §15).
   std::atomic<std::uint64_t> direct_sends{0};
+  /// Next-round chunks and signals the stash dropped: stale, beyond the
+  /// stash window, or over its bound (comm::PhaseStash).
+  std::atomic<std::uint64_t> stash_drops{0};
   /// Gauges set once at construction: this host's lid-metadata footprint in
   /// the compressed representation vs. the seed vector/hash-map model, and
   /// the mirror count it amortizes over (DESIGN.md §17).
@@ -189,8 +194,11 @@ class GeminiHost {
 
   comm::StreamLedger ledger_;  // receive-side completion of the round
   std::uint32_t round_counter_ = 0;
-  rt::Spinlock stash_lock_;
-  std::deque<comm::InMessage> stash_;  // next-round chunks
+  GeminiStats stats_;  // before stash_, which reports into it
+  /// Chunks and direct signals from a peer already in the next round.
+  comm::PhaseStash stash_{comm::kDefaultStashCap,
+                          comm::StashCounters{nullptr, &stats_.stash_drops,
+                                              &stats_.stash_drops}};
 
   /// Parallel-drain handoff: the thread that pops a chunk off the backend
   /// publishes it here so any compute thread can decode/apply it, instead of
@@ -201,19 +209,13 @@ class GeminiHost {
   // Per-destination chunk counters for the current round.
   std::vector<std::unique_ptr<std::atomic<std::uint32_t>>> chunks_sent_;
 
-  /// Receive-side direct-write region for one source peer: engine-owned
-  /// buffer registered with the backend and published in the cluster
-  /// directory under kGeminiPatternKey.
-  struct DirectHome {
-    std::unique_ptr<std::byte[]> buf;
-    comm::DirectRegion region;
-  };
-  std::vector<DirectHome> direct_homes_;    // indexed by source peer
+  /// Receive-side direct-write regions, one per source peer, published in
+  /// the cluster directory under kGeminiPatternKey.
+  comm::LandingRegions landing_;
   std::vector<std::uint32_t> direct_sent_;  // per dst: puts issued this round
   std::vector<char> direct_skip_;           // per dst: records already put
   bool direct_enabled_ = false;
 
-  GeminiStats stats_;
   telemetry::Registration stat_reg_;  // GeminiStats probes ("gemini.*")
 };
 
@@ -335,31 +337,23 @@ bool GeminiHost::drain_one_typed(
   }
 
   // Direct-put signals (DESIGN.md §15): the payload already sits in our
-  // registered region; decode/apply in place, zero-copy. The validation
-  // ladder drops anything not addressed to the live registration for the
-  // current round - a stale put is not in any live ledger, so dropping it
-  // cannot deadlock round completion. Rounds are separated by the OOB
-  // allreduce, so a peer can never be a round ahead of us here; phase
-  // mismatches only arise from retransmissions of already-counted puts.
+  // registered region; decode/apply in place, zero-copy. A signal for the
+  // next round waits in the stash; the landing ladder drops anything not
+  // addressed to the live registration - a stale put is not in any live
+  // ledger, so dropping it cannot deadlock round completion.
+  const std::uint32_t current = ledger_.id();
   comm::DirectSignal sig;
-  while (backend_->poll_direct(sig)) {
-    if (sig.pattern_key != kGeminiPatternKey) continue;
-    const auto s = static_cast<std::size_t>(sig.src);
-    if (s >= direct_homes_.size()) continue;
-    const DirectHome& home = direct_homes_[s];
-    if (!home.region.valid() || sig.generation != home.region.generation ||
-        sig.phase_id != ledger_.id() ||
-        sig.bytes < comm::kChunkHeaderBytes ||
-        sig.bytes > home.region.capacity)
+  while (stash_.pop(current, sig) || backend_->poll_direct(sig)) {
+    if (sig.phase_id != current) {
+      stash_.park(sig, current);
       continue;
+    }
     comm::InMessage m;
-    m.src = sig.src;
-    m.data = home.buf.get();
-    m.size = sig.bytes;
-    const comm::ChunkHeader header = m.header();
-    constexpr std::size_t rec = sizeof(graph::VertexId) + sizeof(T);
-    if (header.phase_id == ledger_.id() &&
-        comm::kChunkHeaderBytes + header.payload_bytes == sig.bytes) {
+    comm::ChunkHeader header;
+    const auto verdict = landing_.land(sig, kGeminiPatternKey, m, header);
+    if (verdict == comm::LandingRegions::Verdict::Stale) continue;
+    if (verdict == comm::LandingRegions::Verdict::Accept) {
+      constexpr std::size_t rec = sizeof(graph::VertexId) + sizeof(T);
       const std::byte* p = m.payload();
       for (std::size_t off = 0; off + rec <= header.payload_bytes;
            off += rec) {
@@ -370,24 +364,14 @@ bool GeminiHost::drain_one_typed(
         apply(gid, value);
       }
     }
-    // Generation and round matched: this is a live put, count it even if the
-    // frame failed to parse (the ledger must balance or the round hangs).
+    // A live put counts even if its frame failed to parse (the ledger must
+    // balance or the round hangs).
     ledger_.note_direct(sig.src);
     return true;
   }
 
   comm::InMessage msg;
-  bool have = false;
-  {
-    std::lock_guard<rt::Spinlock> guard(stash_lock_);
-    if (!stash_.empty() &&
-        stash_.front().header().phase_id == ledger_.id()) {
-      msg = std::move(stash_.front());
-      stash_.pop_front();
-      have = true;
-    }
-  }
-  if (!have) have = backend_->try_recv(msg);
+  bool have = stash_.pop(current, msg) || backend_->try_recv(msg);
   if (!have) {
     // Nothing pending: lend this thread to progress for one step and look
     // again. On the paper's clusters the LCI server owns a core and this
@@ -399,10 +383,10 @@ bool GeminiHost::drain_one_typed(
   }
   if (!have) return false;
 
-  if (msg.header().phase_id != ledger_.id()) {
+  const std::uint32_t phase = msg.header().phase_id;
+  if (phase != current) {
     // A peer raced ahead into the next round (it can be at most one ahead).
-    std::lock_guard<rt::Spinlock> guard(stash_lock_);
-    stash_.push_back(std::move(msg));
+    stash_.park(std::move(msg), phase, current);
     return true;
   }
   // Hand the chunk to the shared apply queue so the decode/apply work spreads
@@ -422,6 +406,7 @@ void GeminiHost::stream_round(
   const int p = g_.num_hosts;
   const int me = g_.host_id;
   ledger_.arm(round_counter_, p, static_cast<std::size_t>(p - 1));
+  stash_.purge(round_counter_);
   for (auto& c : chunks_sent_) c->store(0, std::memory_order_relaxed);
 
   constexpr std::size_t rec = sizeof(graph::VertexId) + sizeof(T);

@@ -95,11 +95,4 @@ void Registry::reset() {
     for (Probe& p : probes) p.value->store(0, std::memory_order_relaxed);
 }
 
-void Registry::for_each_histogram(
-    const std::function<void(const std::string&, const Histogram&)>& fn)
-    const {
-  std::lock_guard<std::mutex> guard(mu_);
-  for (const auto& [name, h] : histograms_) fn(name, *h);
-}
-
 }  // namespace lcr::telemetry

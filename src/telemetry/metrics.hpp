@@ -188,10 +188,6 @@ class Registry {
   /// with no traffic in between reports all zeroes.
   void reset();
 
-  void for_each_histogram(
-      const std::function<void(const std::string&, const Histogram&)>& fn)
-      const;
-
  private:
   friend class Registration;
   void unregister(std::uint64_t token);

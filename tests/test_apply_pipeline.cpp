@@ -150,7 +150,6 @@ TEST(ApplyPipeline, StashBoundedAndCounted) {
       // Ten valid header-only chunks for a phase two ahead of anything the
       // receiver will run: in-window, so each is a stash candidate.
       for (int i = 0; i < 10; ++i) {
-        std::vector<std::byte> frame(comm::kChunkHeaderBytes);
         comm::ChunkHeader header;
         header.phase_id = 2;
         header.payload_bytes = 0;
@@ -158,8 +157,10 @@ TEST(ApplyPipeline, StashBoundedAndCounted) {
         header.num_chunks = 0;  // streaming data chunk
         header.format = static_cast<std::uint8_t>(comm::WireFormat::Raw);
         header.finalize();
-        std::memcpy(frame.data(), &header, sizeof(header));
-        while (!eng.backend().try_send(0, frame)) {
+        comm::BufferLease lease =
+            eng.backend().acquire(0, comm::kChunkHeaderBytes);
+        std::memcpy(lease.data, &header, sizeof(header));
+        while (!eng.backend().commit(0, lease, comm::kChunkHeaderBytes)) {
         }
       }
     }
@@ -203,15 +204,16 @@ TEST(ApplyPipeline, BeyondWindowDroppedNotStashed) {
     abelian::HostEngine eng(cluster, part, cfg);
 
     if (h == 1) {
-      std::vector<std::byte> frame(comm::kChunkHeaderBytes);
       comm::ChunkHeader header;
-      header.phase_id = abelian::kStashPhaseWindow + 1;  // out of window
+      header.phase_id = comm::kStashPhaseWindow + 1;  // out of window
       header.payload_bytes = 0;
       header.num_chunks = 0;
       header.format = static_cast<std::uint8_t>(comm::WireFormat::Raw);
       header.finalize();
-      std::memcpy(frame.data(), &header, sizeof(header));
-      while (!eng.backend().try_send(0, frame)) {
+      comm::BufferLease lease =
+          eng.backend().acquire(0, comm::kChunkHeaderBytes);
+      std::memcpy(lease.data, &header, sizeof(header));
+      while (!eng.backend().commit(0, lease, comm::kChunkHeaderBytes)) {
       }
     }
     cluster.oob_barrier();

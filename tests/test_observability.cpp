@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
@@ -31,8 +32,26 @@
 #include "runtime/thread_team.hpp"
 #include "telemetry/telemetry.hpp"
 
+#include <unistd.h>
+
 namespace lcr {
 namespace {
+
+/// A file under the test temp dir that no concurrently running copy of this
+/// binary writes: the name carries the pid.
+std::string temp_path(const std::string& name) {
+  return ::testing::TempDir() + "/" + name + "_" +
+         std::to_string(::getpid()) + ".json";
+}
+
+/// This process's own flight-dump directory (dump names repeat across
+/// processes).
+std::string flight_dir() {
+  const std::string dir =
+      ::testing::TempDir() + "/lcr_flight_" + std::to_string(::getpid());
+  std::filesystem::create_directories(dir);
+  return dir;
+}
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -320,7 +339,7 @@ TEST_F(HealthClassifiers, WriteJsonIsStrictJson) {
     if (p >= 1 && p <= 2) retx.add(4);
     complete_phase(mon, p, 2000000, /*slow_host=*/1, /*slow_ns=*/500000);
   }
-  const std::string path = ::testing::TempDir() + "/lcr_health_test.json";
+  const std::string path = temp_path("lcr_health_test");
   ASSERT_TRUE(mon.write_json(path));
   const std::string text = slurp(path);
   EXPECT_TRUE(json_valid(text)) << text;
@@ -373,7 +392,7 @@ TEST(FlowStitching, HopsGroupByIdInTimestampOrder) {
   EXPECT_FALSE(telemetry::flow_has_path(f77, {"drop"}));
   EXPECT_TRUE(telemetry::flow_has_path(f77, {}));
 
-  const std::string path = ::testing::TempDir() + "/lcr_flow_test.json";
+  const std::string path = temp_path("lcr_flow_test");
   ASSERT_TRUE(telemetry::write_flow_trace(path));
   const std::string text = slurp(path);
   EXPECT_TRUE(json_valid(text)) << text;
@@ -434,7 +453,7 @@ TEST(TraceRingOverflow, DropsAreCountedAndMarkedInExport) {
 
   // The Chrome export carries an explicit drop marker so an overflowed
   // trace can never be mistaken for a complete one...
-  const std::string path = ::testing::TempDir() + "/lcr_overflow_test.json";
+  const std::string path = temp_path("lcr_overflow_test");
   ASSERT_TRUE(telemetry::write_chrome_trace(path));
   std::string text = slurp(path);
   EXPECT_NE(text.find("\"trace_buffer_overflow\""), std::string::npos);
@@ -485,7 +504,7 @@ TEST(ChromeExportIntegrity, ConcurrentWritersProduceStrictJson) {
     }
   }
 
-  const std::string path = ::testing::TempDir() + "/lcr_concurrent_test.json";
+  const std::string path = temp_path("lcr_concurrent_test");
   ASSERT_TRUE(telemetry::write_chrome_trace(path, {{"hosts", 4}}));
   const std::string text = slurp(path);
   ASSERT_TRUE(json_valid(text)) << "export is not strict JSON";
@@ -539,7 +558,7 @@ TEST(FlightRecorder, RecordSnapshotDump) {
   EXPECT_EQ(b.host, 1u);
   EXPECT_LE(a.ts_ns, b.ts_ns);
 
-  telemetry::flight_set_dir(::testing::TempDir());
+  telemetry::flight_set_dir(flight_dir());
   std::string path;
   ASSERT_TRUE(telemetry::flight_dump("unit_test", &path));
   EXPECT_EQ(telemetry::flight_dumps(), 1u);
@@ -607,7 +626,7 @@ TEST_P(TracedLossyRun, FlowShowsDropRetransmitDeliverApply) {
   spec.fabric.fault.slow_host = 2;
   spec.fabric.fault.slow_round_ns = 30000000;
   if (GetParam() == comm::BackendKind::Lci)
-    spec.health_out = ::testing::TempDir() + "/lcr_e2e_health.json";
+    spec.health_out = temp_path("lcr_e2e_health");
 
   const auto result = bench::run_app(g, spec);
   EXPECT_EQ(result.labels_u32, apps::reference_bfs(g, spec.source));
@@ -774,7 +793,7 @@ TEST(KillReviveTrace, ExportStaysWellFormedAndRecorderFires) {
   telemetry::set_trace_sampling(4, 0x5EED);
   telemetry::reset_trace();
   telemetry::flight_reset();
-  telemetry::flight_set_dir(::testing::TempDir());
+  telemetry::flight_set_dir(flight_dir());
 
   graph::Csr g = graph::rmat(7, 8.0);
   bench::RunSpec spec;
@@ -804,7 +823,7 @@ TEST(KillReviveTrace, ExportStaysWellFormedAndRecorderFires) {
 
   // A trace spanning engine teardown + re-admission must still export as
   // strict JSON with anchored flow events.
-  const std::string path = ::testing::TempDir() + "/lcr_killrevive_test.json";
+  const std::string path = temp_path("lcr_killrevive_test");
   ASSERT_TRUE(telemetry::write_chrome_trace(path, result.telemetry));
   EXPECT_TRUE(json_valid(slurp(path)));
   std::remove(path.c_str());
@@ -814,6 +833,7 @@ TEST(KillReviveTrace, ExportStaysWellFormedAndRecorderFires) {
 
   telemetry::flight_set_dir("");
   telemetry::flight_reset();
+  std::filesystem::remove_all(flight_dir());
   telemetry::set_trace_sampling(0, 0);
   telemetry::set_enabled(false);
   telemetry::reset_trace();
