@@ -1,6 +1,7 @@
 #include "graph/csr.hpp"
 
 #include <cassert>
+#include <utility>
 
 namespace lcr::graph {
 
@@ -24,6 +25,17 @@ Csr Csr::from_edges(VertexId num_nodes, const EdgeList& edges,
     g.targets_[slot] = edges[i].second;
     if (!weights.empty()) g.weights_[slot] = weights[i];
   }
+  return g;
+}
+
+Csr Csr::adopt(std::vector<EdgeId> offsets, std::vector<VertexId> targets,
+               std::vector<Weight> weights) {
+  assert(!offsets.empty() && offsets.back() == targets.size());
+  assert(weights.empty() || weights.size() == targets.size());
+  Csr g;
+  g.offsets_ = std::move(offsets);
+  g.targets_ = std::move(targets);
+  g.weights_ = std::move(weights);
   return g;
 }
 

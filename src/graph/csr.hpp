@@ -26,6 +26,11 @@ class Csr {
   static Csr from_edges(VertexId num_nodes, const EdgeList& edges,
                         const std::vector<Weight>& weights = {});
 
+  /// Adopts already-built CSR arrays: `offsets` has num_nodes + 1 entries
+  /// ending at targets.size(); `weights` is empty or parallels `targets`.
+  static Csr adopt(std::vector<EdgeId> offsets, std::vector<VertexId> targets,
+                   std::vector<Weight> weights = {});
+
   VertexId num_nodes() const noexcept {
     return static_cast<VertexId>(offsets_.empty() ? 0 : offsets_.size() - 1);
   }

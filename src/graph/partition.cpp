@@ -1,9 +1,14 @@
+// Graph partitioning in a few linear passes (DESIGN.md §17): an owner table
+// places each edge with table lookups, one count-then-fill pass buckets edge
+// ids by host, and each host is then built straight from the global CSR -
+// a gid bitmap yields its mirrors already sorted, a dense gid -> lid scratch
+// array relabels its edges, and its CSR arrays are sized exactly up front.
 #include "graph/partition.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
-#include <unordered_map>
 
 namespace lcr::graph {
 
@@ -52,26 +57,8 @@ std::vector<VertexId> compute_master_bounds(const Csr& g, int num_hosts) {
       ++h;
     }
   }
-  // Any remaining cuts collapse to n (empty hosts are legal for tiny graphs).
-  for (; h < num_hosts; ++h)
-    bounds[static_cast<std::size_t>(h)] =
-        std::max(bounds[static_cast<std::size_t>(h)],
-                 bounds[static_cast<std::size_t>(h - 1)]);
+  // Cuts never reached stay at n (empty hosts are legal for tiny graphs).
   return bounds;
-}
-
-int owner_from_bounds(const std::vector<VertexId>& bounds, VertexId gid) {
-  // upper_bound over bounds[1..p]; small p, linear is fine but use binary.
-  int lo = 0;
-  int hi = static_cast<int>(bounds.size()) - 1;
-  while (hi - lo > 1) {
-    const int mid = (lo + hi) / 2;
-    if (bounds[static_cast<std::size_t>(mid)] <= gid)
-      lo = mid;
-    else
-      hi = mid;
-  }
-  return lo;
 }
 
 }  // namespace
@@ -79,138 +66,149 @@ int owner_from_bounds(const std::vector<VertexId>& bounds, VertexId gid) {
 std::vector<DistGraph> partition(const Csr& g, int num_hosts,
                                  PartitionPolicy policy) {
   assert(num_hosts >= 1);
+  const auto hosts_n = static_cast<std::size_t>(num_hosts);
   const VertexId n = g.num_nodes();
   const std::vector<VertexId> bounds = compute_master_bounds(g, num_hosts);
-  const auto [pr, pc] = cvc_grid(num_hosts);
+  const bool weighted = g.has_weights();
 
-  // 1. Assign every edge to a host.
-  auto edge_host = [&](VertexId u, VertexId v) -> int {
-    const int ou = owner_from_bounds(bounds, u);
-    switch (policy) {
-      case PartitionPolicy::BlockedEdgeCut:
-      case PartitionPolicy::OutgoingEdgeCut:
-        return ou;
-      case PartitionPolicy::IncomingEdgeCut:
-        return owner_from_bounds(bounds, v);
-      case PartitionPolicy::CartesianVertexCut: {
-        const int ov = owner_from_bounds(bounds, v);
-        const int r = ou * pr / num_hosts;
-        const int c = ov * pc / num_hosts;
-        return r * pc + c;
-      }
+  // Owner table: the master host of every gid. Edge (u, v) then lives on
+  // src_part[owner[u]] + dst_part[owner[v]] - u's owner for the edge cuts,
+  // v's for the incoming cut, the (row, column) cell of the pr x pc grid for
+  // the cartesian vertex cut - so placing an edge is three table lookups.
+  std::vector<int> owner(n);
+  std::vector<int> src_part(hosts_n);
+  std::vector<int> dst_part(hosts_n);
+  const auto [pr, pc] = cvc_grid(num_hosts);
+  const bool cvc = policy == PartitionPolicy::CartesianVertexCut;
+  const bool by_dst = policy == PartitionPolicy::IncomingEdgeCut;
+  for (std::size_t h = 0; h < hosts_n; ++h) {
+    std::fill(owner.begin() + bounds[h], owner.begin() + bounds[h + 1],
+              static_cast<int>(h));
+    const int p = static_cast<int>(h);
+    src_part[h] = cvc ? p * pr / num_hosts * pc : by_dst ? 0 : p;
+    dst_part[h] = cvc ? p * pc / num_hosts : by_dst ? p : 0;
+  }
+  auto for_each_edge_host = [&](auto&& fn) {
+    for (VertexId u = 0; u < n; ++u) {
+      const int base = src_part[static_cast<std::size_t>(owner[u])];
+      for (EdgeId e = g.edge_begin(u); e < g.edge_end(u); ++e)
+        fn(e, base + dst_part[static_cast<std::size_t>(
+                         owner[g.edge_target(e)])]);
     }
-    return ou;
   };
 
-  std::vector<EdgeList> host_edges(static_cast<std::size_t>(num_hosts));
-  std::vector<std::vector<Weight>> host_weights(
-      static_cast<std::size_t>(num_hosts));
-  const bool weighted = g.has_weights();
-  for (VertexId u = 0; u < n; ++u) {
-    for (EdgeId e = g.edge_begin(u); e < g.edge_end(u); ++e) {
-      const VertexId v = g.edge_target(e);
-      const int h = edge_host(u, v);
-      host_edges[static_cast<std::size_t>(h)].emplace_back(u, v);
-      if (weighted)
-        host_weights[static_cast<std::size_t>(h)].push_back(g.edge_weight(e));
-    }
-  }
+  // 1. Count-then-fill: every host's edges as global edge ids, in (u, e)
+  //    order, in one exactly sized array.
+  std::vector<EdgeId> host_begin(hosts_n + 1, 0);
+  for_each_edge_host(
+      [&](EdgeId, int h) { ++host_begin[static_cast<std::size_t>(h) + 1]; });
+  for (std::size_t h = 0; h < hosts_n; ++h)
+    host_begin[h + 1] += host_begin[h];
+  std::vector<EdgeId> host_edges(g.num_edges());
+  std::vector<EdgeId> cursor(host_begin.begin(), host_begin.end() - 1);
+  for_each_edge_host([&](EdgeId e, int h) {
+    host_edges[cursor[static_cast<std::size_t>(h)]++] = e;
+  });
 
-  // 2. Build each host's local graph: masters (all owned vertices) first,
-  //    then mirrors (non-owned endpoints of local edges), each sorted by gid.
-  std::vector<DistGraph> hosts(static_cast<std::size_t>(num_hosts));
-  for (int h = 0; h < num_hosts; ++h) {
-    DistGraph& dg = hosts[static_cast<std::size_t>(h)];
-    dg.host_id = h;
+  // 2. Build each host in turn. Scratch shared by all hosts: the mirror
+  //    bitmap (cleared as it is scanned), per-gid local edge counts (zeroed
+  //    as they are read) and the gid -> lid array (every gid a host reads is
+  //    rewritten for that host first). master_to_mirror fills in host order.
+  std::vector<std::uint64_t> mirror_bits((std::size_t{n} + 63) / 64);
+  std::vector<std::uint32_t> src_count(n, 0);
+  std::vector<VertexId> lid_of(n);
+  std::vector<CompressedPlan::Builder> to_mirror(
+      hosts_n, CompressedPlan::Builder(num_hosts));
+  std::vector<DistGraph> hosts(hosts_n);
+  for (std::size_t h = 0; h < hosts_n; ++h) {
+    DistGraph& dg = hosts[h];
+    dg.host_id = static_cast<int>(h);
     dg.num_hosts = num_hosts;
     dg.policy = policy;
     dg.global_nodes = n;
     dg.master_bounds = bounds;
 
-    const VertexId mlo = bounds[static_cast<std::size_t>(h)];
-    const VertexId mhi = bounds[static_cast<std::size_t>(h) + 1];
-    dg.num_masters = mhi - mlo;
+    const VertexId mlo = bounds[h];
+    const VertexId nm = bounds[h + 1] - mlo;
+    dg.num_masters = nm;
 
-    // Collect mirror gids.
-    std::vector<VertexId> mirrors;
-    {
-      std::vector<bool> seen;  // lazily sized; local edges touch few gids
-      seen.assign(n, false);
-      for (const Edge& e : host_edges[static_cast<std::size_t>(h)]) {
-        for (const VertexId gid : {e.first, e.second}) {
-          if ((gid < mlo || gid >= mhi) && !seen[gid]) {
-            seen[gid] = true;
-            mirrors.push_back(gid);
-          }
-        }
+    // fn(u, e) over this host's edges; u advances with e (both ascending).
+    auto for_each_local_edge = [&](auto&& fn) {
+      VertexId u = 0;
+      for (EdgeId i = host_begin[h]; i < host_begin[h + 1]; ++i) {
+        const EdgeId e = host_edges[i];
+        while (g.edge_end(u) <= e) ++u;
+        fn(u, e);
       }
-      std::sort(mirrors.begin(), mirrors.end());
-    }
+    };
 
-    dg.num_local = dg.num_masters + static_cast<VertexId>(mirrors.size());
-
-    // Compressed lid map: masters implicit, mirror gids appended in the
-    // sorted order the collection above produced.
-    CompressedLidMap::Builder lids(mlo, dg.num_masters);
-    for (const VertexId gid : mirrors) lids.add_mirror(gid);
-    dg.lids = std::move(lids).build();
-
-    // Local CSR. Construction uses a throwaway g2l hash map - the edge list
-    // is touched once and random-order, so the transient map beats repeated
-    // chunk decodes; it dies with this scope and never ships with the graph.
-    std::unordered_map<VertexId, VertexId> g2l;
-    g2l.reserve(dg.num_local);
-    for (VertexId i = 0; i < dg.num_masters; ++i) g2l.emplace(mlo + i, i);
-    for (std::size_t i = 0; i < mirrors.size(); ++i)
-      g2l.emplace(mirrors[i], dg.num_masters + static_cast<VertexId>(i));
-    EdgeList local;
-    local.reserve(host_edges[static_cast<std::size_t>(h)].size());
-    for (const Edge& e : host_edges[static_cast<std::size_t>(h)])
-      local.emplace_back(g2l.at(e.first), g2l.at(e.second));
-    dg.out_edges = Csr::from_edges(dg.num_local, local,
-                                   host_weights[static_cast<std::size_t>(h)]);
-    dg.in_edges = dg.out_edges.reverse();
-
-    // Global out-degrees for every local proxy.
-    dg.global_out_degree.resize(dg.num_local);
-    for (VertexId i = 0; i < dg.num_masters; ++i)
-      dg.global_out_degree[i] = static_cast<std::uint32_t>(g.degree(mlo + i));
-    for (std::size_t i = 0; i < mirrors.size(); ++i)
-      dg.global_out_degree[dg.num_masters + i] =
-          static_cast<std::uint32_t>(g.degree(mirrors[i]));
-  }
-
-  // 3. Memoized sync plans. Mirrors are sorted by gid, masters are sorted by
-  //    gid, and gid -> master-local-id is monotone, so both sides of each
-  //    pair list the shared vertices in identical (gid) order - which also
-  //    means every per-(host, peer) list appends strictly increasing lids,
-  //    exactly what the delta-chunk builders require.
-  std::vector<CompressedPlan::Builder> m2m_builders;
-  std::vector<CompressedPlan::Builder> m2mirror_builders;
-  m2m_builders.reserve(static_cast<std::size_t>(num_hosts));
-  m2mirror_builders.reserve(static_cast<std::size_t>(num_hosts));
-  for (int h = 0; h < num_hosts; ++h) {
-    m2m_builders.emplace_back(num_hosts);
-    m2mirror_builders.emplace_back(num_hosts);
-  }
-  for (int h = 0; h < num_hosts; ++h) {
-    DistGraph& dg = hosts[static_cast<std::size_t>(h)];
-    dg.lids.visit_mirrors([&](VertexId lid, VertexId gid) {
-      const int p = owner_from_bounds(bounds, gid);
-      m2m_builders[static_cast<std::size_t>(h)].append(p, lid);
-      // The owner-side master lid is arithmetic: gid - owner's block start.
-      m2mirror_builders[static_cast<std::size_t>(p)].append(
-          h, gid - bounds[static_cast<std::size_t>(p)]);
+    // Pass 1: mark non-master endpoints, count each source's local edges.
+    for_each_local_edge([&](VertexId u, EdgeId e) {
+      const VertexId v = g.edge_target(e);
+      if (u - mlo >= nm) mirror_bits[u / 64] |= std::uint64_t{1} << (u % 64);
+      if (v - mlo >= nm) mirror_bits[v / 64] |= std::uint64_t{1} << (v % 64);
+      ++src_count[u];
     });
-  }
-  for (int h = 0; h < num_hosts; ++h) {
-    DistGraph& dg = hosts[static_cast<std::size_t>(h)];
-    dg.mirror_to_master =
-        std::move(m2m_builders[static_cast<std::size_t>(h)]).build();
-    dg.master_to_mirror =
-        std::move(m2mirror_builders[static_cast<std::size_t>(h)]).build();
+
+    VertexId num_mirrors = 0;
+    for (const std::uint64_t w : mirror_bits)
+      num_mirrors += static_cast<VertexId>(std::popcount(w));
+    dg.num_local = nm + num_mirrors;
+
+    // Number the proxies: the master block in order, then the mirrors in
+    // the gid order the bitmap scan yields, setting each one's lid, CSR
+    // count, global out-degree and plan entries as it is numbered.
+    std::vector<EdgeId> out_offsets(static_cast<std::size_t>(dg.num_local) + 1);
+    dg.global_out_degree.resize(dg.num_local);
+    auto number = [&](VertexId lid, VertexId gid) {
+      lid_of[gid] = lid;
+      out_offsets[lid + 1] = src_count[gid];
+      src_count[gid] = 0;
+      dg.global_out_degree[lid] = static_cast<std::uint32_t>(g.degree(gid));
+    };
+    for (VertexId i = 0; i < nm; ++i) number(i, mlo + i);
+    CompressedLidMap::Builder lids(mlo, nm);
+    CompressedPlan::Builder to_master(num_hosts);
+    VertexId lid = nm;
+    for (std::size_t word = 0; word < mirror_bits.size(); ++word) {
+      for (std::uint64_t w = mirror_bits[word]; w != 0; w &= w - 1) {
+        const auto gid = static_cast<VertexId>(
+            word * 64 + static_cast<std::size_t>(std::countr_zero(w)));
+        number(lid, gid);
+        lids.add_mirror(gid);
+        // Both plan sides list shared vertices in gid order; the owner's
+        // master lid is arithmetic (gid - its block start).
+        const int p = owner[gid];
+        to_master.append(p, lid);
+        to_mirror[static_cast<std::size_t>(p)].append(
+            static_cast<int>(h), gid - bounds[static_cast<std::size_t>(p)]);
+        ++lid;
+      }
+      mirror_bits[word] = 0;
+    }
+    dg.lids = std::move(lids).build();
+    dg.mirror_to_master = std::move(to_master).build();
+
+    // Pass 2: fill the local out-CSR. Visiting edges in (u, e) order keeps
+    // each source's edges in global order, as a stable counting sort would.
+    for (std::size_t i = 1; i < out_offsets.size(); ++i)
+      out_offsets[i] += out_offsets[i - 1];
+    const EdgeId local_edges = out_offsets.back();
+    std::vector<VertexId> out_targets(local_edges);
+    std::vector<Weight> out_weights(weighted ? local_edges : 0);
+    cursor.assign(out_offsets.begin(), out_offsets.end() - 1);
+    for_each_local_edge([&](VertexId u, EdgeId e) {
+      const EdgeId slot = cursor[lid_of[u]]++;
+      out_targets[slot] = lid_of[g.edge_target(e)];
+      if (weighted) out_weights[slot] = g.edge_weight(e);
+    });
+    dg.out_edges = Csr::adopt(std::move(out_offsets), std::move(out_targets),
+                              std::move(out_weights));
+    dg.in_edges = dg.out_edges.reverse();
   }
 
+  for (std::size_t h = 0; h < hosts_n; ++h)
+    hosts[h].master_to_mirror = std::move(to_mirror[h]).build();
   return hosts;
 }
 
