@@ -54,6 +54,7 @@ GeminiHost::GeminiHost(abelian::Cluster& cluster, const graph::DistGraph& g,
       {"gemini.bytes", &stats_.bytes},
       {"gemini.direct_sends", &stats_.direct_sends},
       {"gemini.stash_drops", &stats_.stash_drops},
+      {"gemini.decode_rejects", &stats_.decode_rejects},
       {"gemini.dense_rounds", &stats_.dense_rounds},
       {"gemini.sparse_rounds", &stats_.sparse_rounds},
       {"graph.mem_bytes", &stats_.graph_mem_bytes},

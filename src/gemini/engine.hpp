@@ -106,6 +106,9 @@ struct GeminiStats {
   /// Next-round chunks and signals the stash dropped: stale, beyond the
   /// stash window, or over its bound (comm::PhaseStash).
   std::atomic<std::uint64_t> stash_drops{0};
+  /// Received chunks released unapplied: shorter than a chunk header,
+  /// failing the header self-check, or shorter than their payload_bytes.
+  std::atomic<std::uint64_t> decode_rejects{0};
   /// Gauges set once at construction: this host's lid-metadata footprint in
   /// the compressed representation vs. the seed vector/hash-map model, and
   /// the mirror count it amortizes over (DESIGN.md §17).
@@ -131,6 +134,7 @@ class GeminiHost {
   GeminiHost& operator=(const GeminiHost&) = delete;
 
   GeminiStats& stats() noexcept { return stats_; }
+  comm::Backend& backend() noexcept { return *backend_; }
   const graph::DistGraph& graph() const noexcept { return g_; }
 
   /// Data-driven push apps (bfs / cc / sssp) using the Abelian app traits.
@@ -383,6 +387,15 @@ bool GeminiHost::drain_one_typed(
   }
   if (!have) return false;
 
+  // Garbage frame (truncated, failing its self-check, or claiming more
+  // payload than it carries): release it without noting it toward the
+  // ledger - a real peer chunk never fails these checks.
+  if (msg.size < comm::kChunkHeaderBytes || !msg.header().valid() ||
+      msg.payload_size() < msg.header().payload_bytes) {
+    stats_.decode_rejects.fetch_add(1, std::memory_order_relaxed);
+    if (msg.release) msg.release();
+    return true;
+  }
   const std::uint32_t phase = msg.header().phase_id;
   if (phase != current) {
     // A peer raced ahead into the next round (it can be at most one ahead).

@@ -2,8 +2,11 @@
 // and the THREAD_MULTIPLE MPI backend.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "abelian/cluster.hpp"
 #include "apps/bfs.hpp"
@@ -294,6 +297,61 @@ TEST(GeminiExtra, StatsArePopulated) {
   EXPECT_GT(result.rounds, 0u);
   EXPECT_GT(result.messages, 0u);
   EXPECT_GT(result.bytes, 0u);
+}
+
+/// Malformed chunks on the streamed receive path are released and counted,
+/// never applied or noted toward the round ledger: host 1 sends host 0 a
+/// truncated frame (shorter than a chunk header) and a full frame whose
+/// header fails its checksum, host 0 drains both during the first round of
+/// an SSSP run, and the labels still match the sequential reference.
+TEST(GeminiExtra, MalformedChunksRejectedMidRun) {
+  constexpr int kHosts = 2;
+  graph::GenOptions opt;
+  opt.seed = 777;
+  opt.make_weights = true;
+  opt.max_weight = 8;
+  const graph::Csr g = graph::rmat(8, 8.0, opt);
+  const graph::VertexId source = bench::choose_source(g);
+  const auto parts =
+      graph::partition(g, kHosts, graph::PartitionPolicy::BlockedEdgeCut);
+  std::vector<std::uint32_t> labels(g.num_nodes());
+  std::vector<std::uint64_t> rejects(kHosts, 0);
+
+  abelian::Cluster cluster(kHosts, fabric::test_config());
+  cluster.run([&](int h) {
+    const graph::DistGraph& part = parts[static_cast<std::size_t>(h)];
+    gemini::GeminiHost host(cluster, part, gemini::GeminiConfig{});
+    cluster.oob_barrier();
+    if (h == 1) {
+      comm::ChunkHeader header;
+      header.phase_id = 0;  // the first round's phase
+      header.num_chunks = 0;
+      header.format = static_cast<std::uint8_t>(comm::WireFormat::Raw);
+      header.finalize();
+      auto send = [&](std::size_t bytes) {
+        comm::BufferLease lease = host.backend().acquire(0, bytes);
+        std::memcpy(lease.data, &header, std::min(bytes, sizeof(header)));
+        while (!host.backend().commit(0, lease, bytes)) {
+        }
+      };
+      send(comm::kChunkHeaderBytes / 2);  // truncated
+      header.chunk_idx = 1;               // after finalize(): bad checksum
+      send(comm::kChunkHeaderBytes);
+    }
+    cluster.oob_barrier();
+    // Let the fabric deliver both frames before the run starts draining.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+    const std::vector<std::uint32_t> mine =
+        host.run_push<apps::SsspTraits>(source);
+    std::copy(mine.begin(), mine.end(), labels.begin() + part.master_lo());
+    rejects[static_cast<std::size_t>(h)] = host.stats().decode_rejects.load();
+    cluster.oob_barrier();
+  });
+
+  EXPECT_EQ(labels, apps::reference_sssp(g, source));
+  EXPECT_EQ(rejects[0], 2u);
+  EXPECT_EQ(rejects[1], 0u);
 }
 
 /// Gemini has no MPI-RMA runtime: run_app refuses instead of running the

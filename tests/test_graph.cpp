@@ -1,8 +1,12 @@
 // Tests for CSR graphs, generators and statistics.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
 #include <fstream>
 #include <set>
+#include <string>
 
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
@@ -11,6 +15,18 @@
 
 namespace lcr {
 namespace {
+
+/// A file under the test temp dir that no concurrently running copy of this
+/// binary writes (the name carries the pid), removed when the test ends.
+struct TempFile {
+  TempFile(const std::string& stem, const std::string& ext)
+      : path(::testing::TempDir() + "/" + stem + "_" +
+             std::to_string(::getpid()) + ext) {}
+  ~TempFile() { std::remove(path.c_str()); }
+  TempFile(const TempFile&) = delete;
+  TempFile& operator=(const TempFile&) = delete;
+  const std::string path;
+};
 
 TEST(Csr, BuildsFromEdgeList) {
   graph::EdgeList edges{{0, 1}, {0, 2}, {1, 2}, {2, 0}};
@@ -147,7 +163,8 @@ TEST(GraphIo, EdgeListRoundTrip) {
   graph::GenOptions opt;
   opt.make_weights = true;
   graph::Csr g = graph::rmat(7, 8.0, opt);
-  const std::string path = ::testing::TempDir() + "lcr_edges.txt";
+  const TempFile tmp("lcr_edges", ".txt");
+  const std::string& path = tmp.path;
   graph::save_edge_list(g, path);
   // Isolated vertices don't appear in an edge list; pass the count as hint.
   graph::Csr loaded = graph::load_edge_list(path, g.num_nodes());
@@ -158,7 +175,8 @@ TEST(GraphIo, EdgeListRoundTrip) {
 }
 
 TEST(GraphIo, EdgeListUnweightedAndComments) {
-  const std::string path = ::testing::TempDir() + "lcr_small.txt";
+  const TempFile tmp("lcr_small", ".txt");
+  const std::string& path = tmp.path;
   {
     std::ofstream out(path);
     out << "# comment\n% another\n0 1\n1 2\n\n2 0\n";
@@ -170,7 +188,8 @@ TEST(GraphIo, EdgeListUnweightedAndComments) {
 }
 
 TEST(GraphIo, EdgeListNodeHint) {
-  const std::string path = ::testing::TempDir() + "lcr_hint.txt";
+  const TempFile tmp("lcr_hint", ".txt");
+  const std::string& path = tmp.path;
   {
     std::ofstream out(path);
     out << "0 1\n";
@@ -179,7 +198,8 @@ TEST(GraphIo, EdgeListNodeHint) {
 }
 
 TEST(GraphIo, EdgeListParseErrorThrows) {
-  const std::string path = ::testing::TempDir() + "lcr_bad.txt";
+  const TempFile tmp("lcr_bad", ".txt");
+  const std::string& path = tmp.path;
   {
     std::ofstream out(path);
     out << "0 one\n";
@@ -193,7 +213,8 @@ TEST(GraphIo, BinaryRoundTrip) {
   graph::GenOptions opt;
   opt.make_weights = true;
   graph::Csr g = graph::kron(8, 16.0, opt);
-  const std::string path = ::testing::TempDir() + "lcr_graph.lcrb";
+  const TempFile tmp("lcr_graph", ".lcrb");
+  const std::string& path = tmp.path;
   graph::save_binary(g, path);
   graph::Csr loaded = graph::load_binary(path);
   EXPECT_EQ(loaded.num_nodes(), g.num_nodes());
@@ -203,7 +224,8 @@ TEST(GraphIo, BinaryRoundTrip) {
 }
 
 TEST(GraphIo, BinaryRejectsGarbage) {
-  const std::string path = ::testing::TempDir() + "lcr_garbage.lcrb";
+  const TempFile tmp("lcr_garbage", ".lcrb");
+  const std::string& path = tmp.path;
   {
     std::ofstream out(path, std::ios::binary);
     out << "this is not a graph";
