@@ -45,19 +45,8 @@ struct Entry {
   double comm_speedup = 1.0;  // vs the workers=1 row of the same cell
 };
 
-std::string json_out(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::string(argv[i]) == "--json-out") return argv[i + 1];
-  if (const char* s = std::getenv("LCR_BENCH_JSON")) return s;
-  return {};
-}
-
 void write_json(const std::string& path, const std::vector<Entry>& all) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
+  std::FILE* f = bench::open_json(path);
   std::fprintf(f, "{\n  \"bench\": \"apply_scaling\",\n  \"entries\": [\n");
   for (std::size_t i = 0; i < all.size(); ++i) {
     const Entry& e = all[i];
@@ -70,15 +59,13 @@ void write_json(const std::string& path, const std::vector<Entry>& all) {
                  e.apply_s, e.total_s, e.comm_speedup,
                  i + 1 < all.size() ? "," : "");
   }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("json written to %s\n", path.c_str());
+  bench::close_json(f, path);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = json_out(argc, argv);
+  const std::string json_path = bench::json_out(argc, argv);
   std::vector<Entry> entries;
   const unsigned scale = bench::env_scale(12);
   const int hosts = bench::env_hosts(4);

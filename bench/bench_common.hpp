@@ -2,7 +2,10 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <map>
 #include <string>
 
 namespace lcr::bench {
@@ -50,13 +53,84 @@ inline std::string env_app() {
   return {};
 }
 
-/// Chrome-trace output path: `--trace-out <file>` beats env LCR_TRACE_OUT;
-/// empty means tracing stays off.
-inline std::string trace_out(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::string(argv[i]) == "--trace-out") return argv[i + 1];
-  if (const char* s = std::getenv("LCR_TRACE_OUT")) return s;
+/// Value of `<flag> <value>` on the command line; empty when the flag is
+/// absent. A flag given last, with no value, exits 2 with a message rather
+/// than being silently ignored.
+inline std::string arg_value(int argc, char** argv, const char* flag) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::string(argv[i]) != flag) continue;
+    if (i + 1 == argc) {
+      std::fprintf(stderr, "%s needs a value\n", flag);
+      std::exit(2);
+    }
+    return argv[i + 1];
+  }
   return {};
+}
+
+/// `<flag> <value>` on the command line, else env `env`, else empty.
+inline std::string arg_or_env(int argc, char** argv, const char* flag,
+                              const char* env) {
+  std::string v = arg_value(argc, argv, flag);
+  if (v.empty())
+    if (const char* s = std::getenv(env)) v = s;
+  return v;
+}
+
+/// JSON artifact path; empty means no JSON is written.
+inline std::string json_out(int argc, char** argv) {
+  return arg_or_env(argc, argv, "--json-out", "LCR_BENCH_JSON");
+}
+
+/// Chrome-trace output path; empty means tracing stays off.
+inline std::string trace_out(int argc, char** argv) {
+  return arg_or_env(argc, argv, "--trace-out", "LCR_TRACE_OUT");
+}
+
+/// Opens a JSON artifact for writing; exits 1 with a message if it cannot.
+inline std::FILE* open_json(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    std::exit(1);
+  }
+  return f;
+}
+
+/// Ends a JSON artifact whose last value is its entry array.
+inline void close_json(std::FILE* f, const std::string& path) {
+  std::fprintf(f, "  ]\n}\n");
+  std::fclose(f);
+  std::printf("json written to %s\n", path.c_str());
+}
+
+/// Flat {"key": number} JSON, one key per line: the checked-in baselines
+/// of the Fig-6 share guard and the lid-map memory gate.
+inline std::map<std::string, double> load_flat_json(const std::string& path) {
+  std::map<std::string, double> vals;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    char key[64];
+    double value = 0.0;
+    if (std::sscanf(line.c_str(), " \"%63[^\"]\": %lf", key, &value) == 2)
+      vals[key] = value;
+  }
+  return vals;
+}
+
+inline bool write_flat_json(const std::string& path,
+                            const std::map<std::string, double>& vals) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return false;
+  std::fprintf(f, "{\n");
+  std::size_t i = 0;
+  for (const auto& [key, value] : vals)
+    std::fprintf(f, "  \"%s\": %.6f%s\n", key.c_str(), value,
+                 ++i < vals.size() ? "," : "");
+  std::fprintf(f, "}\n");
+  std::fclose(f);
+  return true;
 }
 
 }  // namespace lcr::bench

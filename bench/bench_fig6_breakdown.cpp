@@ -13,7 +13,6 @@
 // runs never pollute a measured trace). LCR_BENCH_APP=bfs narrows the sweep
 // so the trace holds the configuration you asked for.
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <string>
@@ -60,49 +59,6 @@ void print_span_check(const char* app, const char* backend,
               pct(span_comm, r.comm_s));
 }
 
-// ---------------------------------------------------------------------------
-// Serialization-share perf guard. The share is the fraction of the cluster's
-// compute-thread time spent in gather/encode: sync.gather_ns (summed over
-// all hosts' compute threads) / (wall total * hosts * threads). A ratio, so
-// machine-speed differences largely cancel; CI compares against the
-// checked-in bench/fig6_baseline.json and fails on a > 25% relative
-// regression (plus a small absolute slack for timer noise on tiny runs).
-// ---------------------------------------------------------------------------
-
-std::string arg_value(int argc, char** argv, const char* flag) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::string(argv[i]) == flag) return argv[i + 1];
-  return {};
-}
-
-std::map<std::string, double> load_shares(const std::string& path) {
-  std::map<std::string, double> shares;
-  std::ifstream in(path);
-  std::string line;
-  while (std::getline(in, line)) {
-    char key[64];
-    double value = 0.0;
-    if (std::sscanf(line.c_str(), " \"%63[^\"]\": %lf", key, &value) == 2)
-      shares[key] = value;
-  }
-  return shares;
-}
-
-bool write_shares(const std::string& path,
-                  const std::map<std::string, double>& shares) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fprintf(f, "{\n");
-  std::size_t i = 0;
-  for (const auto& [key, share] : shares) {
-    std::fprintf(f, "  \"%s\": %.6f%s\n", key.c_str(), share,
-                 ++i < shares.size() ? "," : "");
-  }
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -113,10 +69,9 @@ int main(int argc, char** argv) {
   const double drop = bench::env_drop(0.0);
   const std::string trace_path = bench::trace_out(argc, argv);
   if (!trace_path.empty()) telemetry::set_enabled(true);
-  std::string baseline_path = arg_value(argc, argv, "--perf-baseline");
-  if (baseline_path.empty())
-    if (const char* s = std::getenv("LCR_PERF_BASELINE")) baseline_path = s;
-  const std::string perf_write = arg_value(argc, argv, "--perf-write");
+  const std::string baseline_path =
+      bench::arg_or_env(argc, argv, "--perf-baseline", "LCR_PERF_BASELINE");
+  const std::string perf_write = bench::arg_value(argc, argv, "--perf-write");
 
   std::printf("=== Figure 6: compute vs non-overlapped communication, kron "
               "at %d hosts ===\n\n", hosts);
@@ -228,8 +183,15 @@ int main(int argc, char** argv) {
                    trace_path.c_str());
   }
 
+  // Serialization-share perf guard. The share is the fraction of the
+  // cluster's compute-thread time spent in gather/encode: sync.gather_ns
+  // (summed over all hosts' compute threads) / (wall total * hosts *
+  // threads). A ratio, so machine-speed differences largely cancel; CI
+  // compares against the checked-in bench/fig6_baseline.json and fails on a
+  // > 25% relative regression (plus a small absolute slack for timer noise
+  // on tiny runs).
   if (!perf_write.empty()) {
-    if (!write_shares(perf_write, measured_shares)) {
+    if (!bench::write_flat_json(perf_write, measured_shares)) {
       std::fprintf(stderr, "failed to write %s\n", perf_write.c_str());
       return 1;
     }
@@ -237,7 +199,7 @@ int main(int argc, char** argv) {
                 perf_write.c_str());
   }
   if (!baseline_path.empty()) {
-    const auto baseline = load_shares(baseline_path);
+    const auto baseline = bench::load_flat_json(baseline_path);
     if (baseline.empty()) {
       std::fprintf(stderr, "no baseline entries in %s\n",
                    baseline_path.c_str());

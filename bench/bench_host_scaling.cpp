@@ -29,7 +29,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <string>
@@ -155,26 +154,9 @@ void bfs_e2e(const graph::Csr& g, int hosts, const std::string& coll,
   if (switches != r.telemetry.end()) e->sched_switches = switches->second;
 }
 
-std::string arg_value(int argc, char** argv, const char* flag) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::string(argv[i]) == flag) return argv[i + 1];
-  return {};
-}
-
-std::string json_out(int argc, char** argv) {
-  const std::string v = arg_value(argc, argv, "--json-out");
-  if (!v.empty()) return v;
-  if (const char* s = std::getenv("LCR_BENCH_JSON")) return s;
-  return {};
-}
-
 void write_json(const std::string& path, const std::vector<Entry>& all,
                 const std::vector<VertexEntry>& sweep) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
+  std::FILE* f = bench::open_json(path);
   std::fprintf(f, "{\n  \"bench\": \"host_scaling\",\n  \"entries\": [\n");
   for (std::size_t i = 0; i < all.size(); ++i) {
     const Entry& e = all[i];
@@ -208,53 +190,18 @@ void write_json(const std::string& path, const std::vector<Entry>& all,
         v.mem.bytes_per_mirror(), v.mem.ratio(), v.bfs_s, v.pagerank_s,
         i + 1 < sweep.size() ? "," : "");
   }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("json written to %s\n", path.c_str());
-}
-
-// Memory-baseline gate (same flat-JSON machinery as the fig6 perf guard):
-// keys are "v<scale>_h<hosts>#bytes_per_mirror" (regresses upward) and
-// "...#ratio" (regresses downward). Byte counts are deterministic, so the
-// headroom only covers representation drift, not machine noise.
-std::map<std::string, double> load_baseline(const std::string& path) {
-  std::map<std::string, double> vals;
-  std::ifstream in(path);
-  std::string line;
-  while (std::getline(in, line)) {
-    char key[64];
-    double value = 0.0;
-    if (std::sscanf(line.c_str(), " \"%63[^\"]\": %lf", key, &value) == 2)
-      vals[key] = value;
-  }
-  return vals;
-}
-
-bool write_baseline(const std::string& path,
-                    const std::map<std::string, double>& vals) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fprintf(f, "{\n");
-  std::size_t i = 0;
-  for (const auto& [key, value] : vals)
-    std::fprintf(f, "  \"%s\": %.6f%s\n", key.c_str(), value,
-                 ++i < vals.size() ? "," : "");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  return true;
+  bench::close_json(f, path);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = json_out(argc, argv);
+  const std::string json_path = bench::json_out(argc, argv);
   const int max_hosts = bench::env_hosts(256);
   const std::uint64_t max_verts = bench::env_verts(std::uint64_t{1} << 22);
-  std::string mem_baseline_path = arg_value(argc, argv, "--mem-baseline");
-  if (mem_baseline_path.empty())
-    if (const char* s = std::getenv("LCR_MEM_BASELINE"))
-      mem_baseline_path = s;
-  const std::string mem_write = arg_value(argc, argv, "--mem-write");
+  const std::string mem_baseline_path =
+      bench::arg_or_env(argc, argv, "--mem-baseline", "LCR_MEM_BASELINE");
+  const std::string mem_write = bench::arg_value(argc, argv, "--mem-write");
 
   std::printf("=== Host-count scaling: flat vs tree OOB collectives, hosts "
               "as ULT fibers ===\n");
@@ -373,15 +320,19 @@ int main(int argc, char** argv) {
               "graph grows and the ratio vs the seed vector/hash-map "
               "representation stays >= 4x; walls grow ~linearly in edges.\n");
 
+  // Memory-baseline gate (same flat-JSON format as the fig6 perf guard):
+  // keys are "v<scale>_h<hosts>#bytes_per_mirror" (regresses upward) and
+  // "...#ratio" (regresses downward). Byte counts are deterministic, so the
+  // headroom only covers representation drift, not machine noise.
   if (!mem_write.empty()) {
-    if (!write_baseline(mem_write, measured_mem)) {
+    if (!bench::write_flat_json(mem_write, measured_mem)) {
       std::fprintf(stderr, "failed to write %s\n", mem_write.c_str());
       return 1;
     }
     std::printf("memory baseline written to %s\n", mem_write.c_str());
   }
   if (!mem_baseline_path.empty()) {
-    const auto baseline = load_baseline(mem_baseline_path);
+    const auto baseline = bench::load_flat_json(mem_baseline_path);
     if (baseline.empty()) {
       std::fprintf(stderr, "no baseline entries in %s\n",
                    mem_baseline_path.c_str());

@@ -52,19 +52,8 @@ struct Entry {
   std::uint64_t rounds = 0;
 };
 
-std::string json_out(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::string(argv[i]) == "--json-out") return argv[i + 1];
-  if (const char* s = std::getenv("LCR_BENCH_JSON")) return s;
-  return {};
-}
-
 void write_json(const std::string& path, const std::vector<Entry>& all) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
+  std::FILE* f = bench::open_json(path);
   std::fprintf(f, "{\n  \"bench\": \"recovery\",\n  \"entries\": [\n");
   for (std::size_t i = 0; i < all.size(); ++i) {
     const Entry& e = all[i];
@@ -83,15 +72,13 @@ void write_json(const std::string& path, const std::vector<Entry>& all) {
                  static_cast<unsigned long long>(e.rounds),
                  i + 1 < all.size() ? "," : "");
   }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("json written to %s\n", path.c_str());
+  bench::close_json(f, path);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = json_out(argc, argv);
+  const std::string json_path = bench::json_out(argc, argv);
   std::vector<Entry> entries;
   const unsigned scale = bench::env_scale(10);
   const int hosts = bench::env_hosts(4);

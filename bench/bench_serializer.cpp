@@ -201,17 +201,10 @@ Measurement run_legacy_cell(const char* type_name, double density,
   return m;
 }
 
-std::string json_out(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::string(argv[i]) == "--json-out") return argv[i + 1];
-  if (const char* s = std::getenv("LCR_BENCH_JSON")) return s;
-  return {};
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = json_out(argc, argv);
+  const std::string json_path = bench::json_out(argc, argv);
   rt::Rng rng(0xB355EDu);
 
   std::printf("=== Serializer: adaptive wire formats, %u-entry shared list "
@@ -277,11 +270,7 @@ int main(int argc, char** argv) {
   }
 
   if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
+    std::FILE* f = bench::open_json(json_path);
     std::fprintf(f, "{\n  \"bench\": \"serializer\",\n  \"entries\": [\n");
     for (std::size_t i = 0; i < all.size(); ++i) {
       const Measurement& m = all[i];
@@ -295,9 +284,7 @@ int main(int argc, char** argv) {
                    m.encode_mrps, m.decode_mrps,
                    i + 1 < all.size() ? "," : "");
     }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("json written to %s\n", json_path.c_str());
+    bench::close_json(f, json_path);
   }
   return 0;
 }
