@@ -270,7 +270,7 @@ class HostEngine {
     /// (capacity pre-checked against the region), so the direct count the
     /// compute thread put in the tail stays truthful.
     bool direct = false;
-    comm::DirectRegion region;
+    comm::DirectRegion region{};
     std::uint32_t phase_id = 0;
     std::uint32_t pattern_key = 0;
   };

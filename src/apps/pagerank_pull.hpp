@@ -10,9 +10,10 @@
 //
 // The sum is bitwise equal to a sequential push along out-edges
 // (for src ascending, for each out-edge: accum[dst] += contrib[src]):
-// Csr::reverse() lists each vertex's in-sources in ascending source id,
-// with duplicate edges in out-edge order, which is exactly the order the
-// push loop adds into accum[dst], starting from 0.0.
+// the partitioner's in-CSR lists each vertex's in-sources in ascending
+// source id, with duplicate edges in out-edge order, as Csr::reverse()
+// does, which is exactly the order the push loop adds into accum[dst],
+// starting from 0.0.
 #pragma once
 
 #include <cstdint>

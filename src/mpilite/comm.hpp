@@ -81,7 +81,7 @@ struct CommConfig {
   /// waits (Comm::wait, RMA epoch synchronization) poll it so a caller can
   /// unwind to recovery instead of wedging on a peer that died or already
   /// tore down its communicator. Null = never abort.
-  std::function<bool()> abort_check;
+  std::function<bool()> abort_check{};
 };
 
 struct CommStats {

@@ -431,8 +431,9 @@ TEST(Personality, RunAppRejectsUnknownName) {
     spec.mpi_personality = "intel";
     EXPECT_THROW(bench::run_app(g, spec), std::invalid_argument);
     spec.engine = "gemini";
-    if (backend == comm::BackendKind::MpiProbe)
+    if (backend == comm::BackendKind::MpiProbe) {
       EXPECT_THROW(bench::run_app(g, spec), std::invalid_argument);
+    }
   }
 }
 

@@ -2,16 +2,19 @@
 // machinery relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <numeric>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
+#include "runtime/ult.hpp"
 
 namespace lcr {
 namespace {
@@ -21,6 +24,7 @@ using graph::PartitionPolicy;
 struct PartitionCase {
   PartitionPolicy policy;
   int hosts;
+  unsigned scale = 9;  ///< rmat(scale, 8)
 };
 
 class PartitionInvariants
@@ -48,10 +52,13 @@ int policy_host(const graph::DistGraph& any, graph::VertexId u,
 }
 
 TEST_P(PartitionInvariants, HoldOnRmat) {
-  const auto [policy, hosts] = GetParam();
-  graph::Csr g = graph::rmat(9, 8.0, graph::GenOptions{.make_weights = true});
+  const auto [policy, hosts, scale] = GetParam();
+  graph::Csr g =
+      graph::rmat(scale, 8.0, graph::GenOptions{.make_weights = true});
   auto parts = graph::partition(g, hosts, policy);
   ASSERT_EQ(parts.size(), static_cast<std::size_t>(hosts));
+  const bool fewer_vertices_than_hosts =
+      g.num_nodes() < static_cast<graph::VertexId>(hosts);
 
   // 1. Every vertex is mastered by exactly one host, and master blocks are
   //    contiguous and complete.
@@ -123,9 +130,13 @@ TEST_P(PartitionInvariants, HoldOnRmat) {
       EXPECT_EQ(part.global_out_degree[lid],
                 g.degree(part.local_to_global(lid)));
 
-  // 7. The compressed metadata never exceeds the uncompressed model's cost.
-  for (const auto& part : parts)
-    EXPECT_LE(part.mem_bytes(), part.mem_bytes_uncompressed());
+  // 7. The compressed metadata never exceeds the uncompressed model's cost
+  //    - unless there are fewer vertices than hosts, where the fixed
+  //    per-(host, peer) chunk headers dominate (DESIGN.md §17).
+  if (!fewer_vertices_than_hosts) {
+    for (const auto& part : parts)
+      EXPECT_LE(part.mem_bytes(), part.mem_bytes_uncompressed());
+  }
 
   // 8. Edge level: every global edge (u, v, w) lands exactly once, on the
   //    host the policy names, and each local source lists its edges in the
@@ -152,6 +163,23 @@ TEST_P(PartitionInvariants, HoldOnRmat) {
           << "host " << part.host_id << " local " << src;
     }
   }
+
+  // 9. The in-CSR is exactly the transpose Csr::reverse() builds: per
+  //    target, sources in lid order, weights alongside.
+  for (const auto& part : parts) {
+    const graph::Csr rev = part.out_edges.reverse();
+    EXPECT_EQ(part.in_edges.offsets(), rev.offsets()) << part.host_id;
+    EXPECT_EQ(part.in_edges.targets(), rev.targets()) << part.host_id;
+    EXPECT_EQ(part.in_edges.weights(), rev.weights()) << part.host_id;
+  }
+
+  // With more hosts than vertices, some hosts master nothing.
+  if (fewer_vertices_than_hosts) {
+    EXPECT_TRUE(std::any_of(parts.begin(), parts.end(),
+                            [](const graph::DistGraph& part) {
+                              return part.num_masters == 0;
+                            }));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -169,7 +197,13 @@ INSTANTIATE_TEST_SUITE_P(
         PartitionCase{PartitionPolicy::CartesianVertexCut, 2},
         PartitionCase{PartitionPolicy::CartesianVertexCut, 4},
         PartitionCase{PartitionPolicy::CartesianVertexCut, 6},
-        PartitionCase{PartitionPolicy::CartesianVertexCut, 8}));
+        PartitionCase{PartitionPolicy::CartesianVertexCut, 8},
+        // Many hosts, few vertices: most hosts are empty, and the build's
+        // workers are far fewer than the hosts they build.
+        PartitionCase{PartitionPolicy::BlockedEdgeCut, 64, 4},
+        PartitionCase{PartitionPolicy::OutgoingEdgeCut, 64, 4},
+        PartitionCase{PartitionPolicy::IncomingEdgeCut, 64, 4},
+        PartitionCase{PartitionPolicy::CartesianVertexCut, 64, 4}));
 
 // ---------------------------------------------------------------------------
 // Golden digests: the partitioner's complete output, hashed per (graph,
@@ -331,6 +365,50 @@ TEST(PartitionGolden, OutputMatchesRecordedDigests) {
   }
   EXPECT_EQ(matched, std::size(kGolden)) << "actual digests:\n" << actual;
   EXPECT_EQ(matched, std::size_t{2 * 4 * 5});
+}
+
+// Partitions run concurrently from several threads (run_app callers, test
+// fixtures) must not share scratch: three threads each partition every golden
+// case, starting a third of the table apart, and every digest must match.
+TEST(PartitionGolden, ConcurrentCallsMatchDigests) {
+  const graph::Csr kron = golden_graph("kron");
+  const graph::Csr rmat = golden_graph("rmat");
+  constexpr std::size_t kThreads = 3;
+  constexpr std::size_t kCases = std::size(kGolden);
+  std::vector<std::string> mismatches(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (std::size_t i = 0; i < kCases; ++i) {
+        const GoldenCase& c = kGolden[(i + t * kCases / kThreads) % kCases];
+        const graph::Csr& g = c.graph == std::string("kron") ? kron : rmat;
+        const std::uint64_t got =
+            partition_digest(graph::partition(g, c.hosts, c.policy));
+        if (got != c.digest)
+          mismatches[t] += std::string(c.graph) + " " + enum_name(c.policy) +
+                           " x" + std::to_string(c.hosts) + "\n";
+      }
+    });
+  for (std::thread& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t)
+    EXPECT_EQ(mismatches[t], "") << "thread " << t;
+}
+
+// Called on a fiber (ULT host scheduler), the build's workers are sibling
+// fibers; on a single ULT worker they finish only if every wait yields.
+TEST(PartitionGolden, MatchesDigestsOnAFiber) {
+  const graph::Csr kron = golden_graph("kron");
+  std::size_t matched = 0;
+  ult::Scheduler sched({.workers = 1});
+  sched.spawn([&] {
+    for (const GoldenCase& c : kGolden)
+      if (c.graph == std::string("kron") && c.hosts >= 4 &&
+          partition_digest(graph::partition(kron, c.hosts, c.policy)) ==
+              c.digest)
+        ++matched;
+  });
+  sched.run();
+  EXPECT_EQ(matched, std::size_t{4 * 3});  // 4 policies x {4, 16, 64} hosts
 }
 
 TEST(Partition, EdgeCutKeepsOutEdgesWithSource) {
