@@ -7,15 +7,11 @@
 // can handle high thread counts" (Section VI).
 //
 // This bench pumps small messages from T concurrent sender threads on one
-// host to a draining peer and reports the aggregate message rate in three
-// configurations:
-//   * LCI direct - legacy inline injection: every send_enq posts to the
-//     fabric at the call site, so T threads contend on the target endpoint's
-//     locks (rx ring, CQ, token bucket).
-//   * LCI lanes  - deferred injection: each thread stages into its own SPSC
-//     lane and a ProgressServerGroup does the posting, so senders touch no
-//     shared fabric state (DESIGN.md §10).
-//   * MPI multiple - isend from every thread under MPI_THREAD_MULTIPLE
+// host to a draining peer and reports the aggregate message rate of:
+//   * LCI - every send_enq posts to the fabric at the call site (Algorithm
+//     1, DESIGN.md §10), so T threads contend only on the per-link and
+//     endpoint locks they touch.
+//   * MPI multiple - send from every thread under MPI_THREAD_MULTIPLE
 //     (global lock + per-caller contention surcharge), rate decays.
 #include <atomic>
 #include <cstdio>
@@ -26,7 +22,6 @@
 #include "bench_support/table.hpp"
 #include "fabric/fabric.hpp"
 #include "lci/queue.hpp"
-#include "lci/server.hpp"
 #include "mpilite/comm.hpp"
 #include "runtime/timer.hpp"
 
@@ -36,15 +31,6 @@ namespace {
 
 constexpr int kMessagesPerThread = 4000;
 
-/// In lane mode eager sends complete when a server posts them, so each
-/// sender keeps a bounded window of outstanding requests and recycles the
-/// oldest slot once it is no longer Pending.
-constexpr std::size_t kWindow = 1024;
-
-/// Lane ring capacity: deep enough that a sender can keep staging across a
-/// whole scheduling quantum on an oversubscribed host.
-constexpr std::size_t kLaneDepth = 2048;
-
 fabric::FabricConfig quiet_fabric() {
   fabric::FabricConfig cfg = fabric::omnipath_knl_config();
   cfg.wire_latency = std::chrono::nanoseconds(0);
@@ -53,67 +39,45 @@ fabric::FabricConfig quiet_fabric() {
   return cfg;
 }
 
-/// T threads send_enq concurrently towards a draining peer.
-/// lanes == 0: legacy direct injection, the main thread folds both progress
-/// loops into the drain (the pre-lane configuration).
-/// lanes > 0: per-thread lanes on the sender queue; `servers` dedicated
-/// progress servers shard and drain them, the main thread drains the peer.
-double lci_rate(int threads, std::size_t lanes, std::size_t servers) {
+/// T threads send_enq concurrently towards a draining peer; the main thread
+/// runs both hosts' progress and drains host 1.
+double lci_rate(int threads) {
   fabric::Fabric fab(2, quiet_fabric());
   lci::QueueConfig qcfg;
   qcfg.device.rx_packets = 1024;
-  qcfg.device.tx_packets = lanes == 0 ? 256 : 4096;
-  qcfg.lanes = lanes;
-  qcfg.lane_depth = kLaneDepth;
+  qcfg.device.tx_packets = 256;
   lci::Queue q0(fab, 0, qcfg);
-  lci::QueueConfig pcfg;
-  pcfg.device.rx_packets = 1024;
-  pcfg.device.tx_packets = 256;
-  lci::Queue q1(fab, 1, pcfg);
-
-  lci::ProgressServerGroup group(q0, servers == 0 ? 1 : servers);
-  if (servers > 0) group.start();
+  lci::Queue q1(fab, 1, qcfg);
 
   const int total = kMessagesPerThread * threads;
-  std::atomic<int> received{0};
+  int received = 0;
   rt::Timer timer;
   std::vector<std::thread> senders;
   for (int t = 0; t < threads; ++t) {
     senders.emplace_back([&, t] {
       const std::uint64_t payload = static_cast<std::uint64_t>(t);
-      std::vector<lci::Request> reqs(kWindow);
-      for (int i = 0; i < kMessagesPerThread; ++i) {
-        lci::Request& req = reqs[static_cast<std::size_t>(i) % reqs.size()];
-        while (req.status.load(std::memory_order_acquire) ==
-               lci::ReqStatus::Pending)
-          rt::thread_yield();
+      lci::Request req;  // eager: done when send_enq returns true
+      for (int i = 0; i < kMessagesPerThread; ++i)
         while (!q0.send_enq(&payload, sizeof(payload), 1,
                             static_cast<std::uint32_t>(t), req))
-          rt::thread_yield();
-      }
-      for (auto& req : reqs)
-        while (req.status.load(std::memory_order_acquire) ==
-               lci::ReqStatus::Pending)
           rt::thread_yield();
     });
   }
   lci::Request in;
-  while (received.load(std::memory_order_relaxed) < total) {
-    bool did_work = false;
-    if (servers == 0) did_work |= q0.progress();
+  while (received < total) {
+    bool did_work = q0.progress();
     did_work |= q1.progress();
     while (q1.recv_deq(in)) {
       q1.release(in);
-      received.fetch_add(1, std::memory_order_relaxed);
+      ++received;
       did_work = true;
     }
-    // Oversubscribed single-core hosts: an empty poll must hand the core to
-    // the senders/servers instead of burning their quantum.
+    // Oversubscribed hosts: an empty poll must hand the core to the
+    // senders instead of burning their quantum.
     if (!did_work) rt::thread_yield();
   }
   const double rate = total / timer.elapsed_s();
   for (auto& s : senders) s.join();
-  group.stop();
   return rate;
 }
 
@@ -158,42 +122,30 @@ int main() {
   std::printf("=== Thread scaling: aggregate message rate vs sender thread "
               "count ===\n");
   std::printf("(2 hosts; T threads send 8B messages concurrently; LCI "
-              "direct vs LCI lanes+servers vs MPI_THREAD_MULTIPLE)\n\n");
+              "send_enq vs MPI_THREAD_MULTIPLE)\n\n");
 
-  bench::Table table({"threads", "servers", "lci direct (msgs/s)",
-                      "lci lanes (msgs/s)", "mpi (msgs/s)", "lanes/direct",
-                      "lanes/mpi"});
-  double direct1 = 0, lanes1 = 0, directN = 0, lanesN = 0;
+  bench::Table table(
+      {"threads", "lci (msgs/s)", "mpi (msgs/s)", "lci/mpi"});
+  double lci1 = 0, mpi1 = 0, lciN = 0, mpiN = 0;
   for (int threads : {1, 2, 4, 8}) {
-    // servers=1 at one thread (no sharding to win), servers=4 beyond: the
-    // acceptance configuration for the multi-lane scaling claim.
-    const std::size_t servers = threads == 1 ? 1 : 4;
-    const double direct = lci_rate(threads, /*lanes=*/0, /*servers=*/0);
-    const double laned = lci_rate(threads,
-                                  /*lanes=*/static_cast<std::size_t>(threads),
-                                  servers);
+    const double lci = lci_rate(threads);
     const double mpi = mpi_rate(threads);
     if (threads == 1) {
-      direct1 = direct;
-      lanes1 = laned;
+      lci1 = lci;
+      mpi1 = mpi;
     }
-    directN = direct;
-    lanesN = laned;
-    table.add_row({std::to_string(threads), std::to_string(servers),
-                   std::to_string(static_cast<long long>(direct)),
-                   std::to_string(static_cast<long long>(laned)),
+    lciN = lci;
+    mpiN = mpi;
+    table.add_row({std::to_string(threads),
+                   std::to_string(static_cast<long long>(lci)),
                    std::to_string(static_cast<long long>(mpi)),
-                   bench::fmt_ratio(laned / direct),
-                   bench::fmt_ratio(laned / mpi)});
+                   bench::fmt_ratio(lci / mpi)});
   }
   table.print(std::cout);
-  std::printf("\nretention at max threads (rate_T / rate_1): direct %.2f, "
-              "lanes %.2f\nshape to check: the lanes/mpi ratio grows with "
-              "the thread count (MPI 'performance tapers off with large "
-              "thread counts'). On single-core simulation hosts the direct "
-              "path has the lower per-message cost; the lanes+servers "
-              "configuration is the one that keeps scaling with T (see "
-              "EXPERIMENTS.md, thread scaling).\n",
-              directN / direct1, lanesN / lanes1);
+  std::printf("\nretention at max threads (rate_T / rate_1): lci %.2f, "
+              "mpi %.2f\nshape to check: the lci/mpi ratio grows with the "
+              "thread count (MPI 'performance tapers off with large thread "
+              "counts'; see EXPERIMENTS.md, thread scaling).\n",
+              lciN / lci1, mpiN / mpi1);
   return 0;
 }

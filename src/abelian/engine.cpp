@@ -16,12 +16,7 @@
 namespace lcr::abelian {
 
 namespace {
-/// LCI default: one injection lane per compute thread (the paper's model -
-/// every compute thread injects; see DESIGN.md §10). Explicit settings win.
-EngineConfig with_lane_defaults(EngineConfig cfg) {
-  if (cfg.backend == comm::BackendKind::Lci &&
-      cfg.backend_options.lci_lanes == 0)
-    cfg.backend_options.lci_lanes = cfg.compute_threads;
+EngineConfig with_resolved_direct_write(EngineConfig cfg) {
   cfg.direct_write = comm::resolve_direct_write(cfg.direct_write);
   return cfg;
 }
@@ -31,7 +26,7 @@ HostEngine::HostEngine(Cluster& cluster, const graph::DistGraph& graph,
                        EngineConfig cfg)
     : cluster_(cluster),
       graph_(graph),
-      cfg_(with_lane_defaults(std::move(cfg))),
+      cfg_(with_resolved_direct_write(std::move(cfg))),
       backend_(comm::make_backend(
           cfg_.backend, cluster.fabric(), graph.host_id,
           [&] {

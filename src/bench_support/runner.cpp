@@ -182,8 +182,6 @@ abelian::EngineConfig abelian_config(const RunSpec& spec,
   cfg.backend_options.tracker = &tracker;
   cfg.backend_options.mpi_personality = spec.mpi_personality;
   cfg.backend_options.aggregation_timeout_us = spec.aggregation_timeout_us;
-  cfg.backend_options.lci_lanes = spec.lci_lanes;
-  cfg.backend_options.lci_servers = spec.lci_servers;
   cfg.compute_threads = spec.threads;
   cfg.apply_workers = spec.apply_workers;
   cfg.direct_write = spec.direct_write;
@@ -203,8 +201,6 @@ gemini::GeminiConfig gemini_config(const RunSpec& spec,
   cfg.tracker = &tracker;
   cfg.dense_threshold = spec.gemini_dense_threshold;
   cfg.batch_bytes = spec.gemini_batch_bytes;
-  cfg.lci_lanes = spec.lci_lanes;
-  cfg.lci_servers = spec.lci_servers;
   cfg.direct_write = spec.direct_write;
   return cfg;
 }

@@ -55,11 +55,6 @@ struct RunSpec {
   /// rendezvous at the cluster recovery barrier, reload the last stable
   /// checkpoint and resume (DESIGN.md §13).
   std::int64_t ckpt_interval = 0;
-  /// LCI injection lanes; 0 = engine default (one per compute thread).
-  std::size_t lci_lanes = 0;
-  /// Dedicated LCI progress servers sharding lanes and peer ranks; 0 = the
-  /// engine's own comm/server thread is the only progress driver.
-  std::size_t lci_servers = 0;
   /// Simulated-host scheduler (DESIGN.md §16): "" = env LCR_HOST_SCHED /
   /// OS threads; "os" forces one OS thread per host; "ult" multiplexes
   /// hosts as cooperative fibers over min(hardware threads, hosts) workers

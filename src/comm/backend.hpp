@@ -220,13 +220,6 @@ struct BackendOptions {
   std::uint64_t aggregation_timeout_us = 50;
   /// LCI receive-window packets; 0 = use the fabric's default_rx_buffers.
   std::size_t lci_rx_packets = 0;
-  /// LCI injection lanes (SPSC rings sender threads stage into). 0 = legacy
-  /// inline injection; size to the number of concurrently-sending threads.
-  std::size_t lci_lanes = 0;
-  /// Dedicated LCI progress servers owned by the backend, sharding lanes and
-  /// peer ranks. 0 = none: progress happens only on the threads that call
-  /// Backend::progress() (the engine comm/server thread assist path).
-  std::size_t lci_servers = 0;
   /// Cluster failure hook: returns true while a host kill awaits recovery.
   /// Backends with internally blocking synchronization (MPI-RMA epochs)
   /// poll it so host threads unwind to the recovery rendezvous instead of

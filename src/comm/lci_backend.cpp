@@ -21,9 +21,7 @@ LciBackend::LciBackend(fabric::Fabric& fabric, int rank,
                                        ? options.lci_rx_packets
                                        : fabric.config().default_rx_buffers,
                                    /*pool_caches=*/8},
-                 options.tracker,
-                 /*lanes=*/options.lci_lanes,
-                 /*lane_depth=*/256}),
+                 options.tracker}),
       tracker_(options.tracker) {
   // Must be installed before any concurrent progress driver exists: the
   // handler slot is written once here and only read afterwards.
@@ -33,17 +31,11 @@ LciBackend::LciBackend(fabric::Fabric& fabric, int rank,
     std::lock_guard<rt::Spinlock> guard(direct_lock_);
     direct_signals_.push_back(sig);
   });
-  if (options.lci_servers > 0) {
-    servers_ =
-        std::make_unique<lci::ProgressServerGroup>(queue_, options.lci_servers);
-    servers_->start();
-  }
 }
 
 LciBackend::~LciBackend() {
-  // Stop the servers and drain staged lane ops while the in-flight send
-  // slots they reference are still alive, then reap.
-  if (servers_ != nullptr) servers_->stop();
+  // Drain pending rendezvous puts while the in-flight send slots they read
+  // are still alive, then reap.
   queue_.progress_all();
   reap_sends();
 }

@@ -13,7 +13,6 @@
 #include "comm/backend.hpp"
 #include "lci/one_sided.hpp"
 #include "lci/queue.hpp"
-#include "lci/server.hpp"
 #include "runtime/spinlock.hpp"
 
 namespace lcr::comm {
@@ -75,10 +74,6 @@ class LciBackend final : public Backend {
   void reap_sends();
 
   lci::Queue queue_;
-  // Declared after queue_ (destroyed first); explicitly stopped in the
-  // destructor before any send-slot state is torn down, because staged lane
-  // ops hold Request* into in_flight_sends_ slots.
-  std::unique_ptr<lci::ProgressServerGroup> servers_;
   rt::MemTracker* tracker_;
 
   // Incomplete requests list (paper: "Abelian's communication layer

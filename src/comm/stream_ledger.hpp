@@ -5,10 +5,12 @@
 // tail per peer carries the total (data chunks + itself) and reuses
 // base_pos to announce how many one-sided direct puts the peer issued
 // (DESIGN.md §15). Single-message senders (MPI-RMA) send num_chunks == 1
-// and no tail. Chunks and puts may land in any order - multi-lane LCI
-// reorders freely and a put usually beats the tail that announces it - so
-// a peer completes only once its tail has landed, every announced chunk has
-// been counted, and at least the announced number of puts has landed.
+// and no tail. Chunks and puts may be counted in any order - several
+// threads receive and apply concurrently, a rendezvous chunk completes after
+// the eager tail posted behind it, and a put usually beats the tail that
+// announces it - so a peer completes only once its tail has landed, every
+// announced chunk has been counted, and at least the announced number of
+// puts has landed.
 #pragma once
 
 #include <atomic>

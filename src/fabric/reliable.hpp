@@ -25,8 +25,10 @@
 // On a reliable fabric the channel is a passthrough: one branch per call,
 // no sequencing, no payload copies.
 //
-// Concurrency: safe for one application thread plus one progress thread per
-// endpoint (the LCI worker/server split). State is per-link spinlocked.
+// Concurrency: any number of posting threads and progress threads per
+// endpoint (LCI's compute threads post inline while its server polls). State
+// is per-link spinlocked; a data op takes its sequence number and goes on the
+// wire under its link's tx lock.
 //
 // Assumption (documented in DESIGN.md): concurrently in-flight puts on one
 // link target disjoint registered regions. All three runtimes satisfy this -

@@ -30,11 +30,6 @@ GeminiHost::GeminiHost(abelian::Cluster& cluster, const graph::DistGraph& g,
   opt.mpi_personality = cfg_.mpi_personality;
   switch (cfg_.comm) {
     case CommKind::Lci:
-      // Per-compute-thread injection lanes by default: every compute thread
-      // injects on the gemini produce path.
-      opt.lci_lanes =
-          cfg_.lci_lanes != 0 ? cfg_.lci_lanes : cfg_.compute_threads;
-      opt.lci_servers = cfg_.lci_servers;
       backend_ = comm::make_backend(comm::BackendKind::Lci, cluster.fabric(),
                                     g.host_id, opt);
       break;
@@ -143,30 +138,8 @@ std::vector<double> GeminiHost::run_pagerank(apps::PagerankOptions opt,
                                     rank, contrib, partial, touched);
     });
 
-    // Pagerank is dense every round: the whole per-destination frame goes
-    // out as one direct put when the peer's region resolves (DESIGN.md §15).
-    direct_put_dense<double>(touched,
-                             [&](std::size_t dst) { return partial[dst]; });
-    std::atomic<std::size_t> cursor{0};
-    stream_round<double>(
-        [&](std::size_t, const std::function<void(graph::VertexId,
-                                                  const double&)>& emit) {
-          constexpr std::size_t kGrain = 512;
-          for (;;) {
-            const std::size_t lo =
-                cursor.fetch_add(kGrain, std::memory_order_relaxed);
-            if (lo >= n_local) break;
-            const std::size_t hi = std::min(n_local, lo + kGrain);
-            touched.for_each_in_range(lo, hi, [&](std::size_t dst) {
-              const graph::VertexId gid =
-                  g_.local_to_global(static_cast<graph::VertexId>(dst));
-              const auto owner = static_cast<std::size_t>(g_.owner_of(gid));
-              if (direct_skip_[owner] != 0) return;  // already put
-              emit(gid, partial[dst]);
-            });
-          }
-        },
-        apply);
+    // Pagerank is dense every round (DESIGN.md §15).
+    send_dense<double>(touched, partial, apply);
 
     double local_delta = 0.0;
     for (std::size_t i = 0; i < n_masters; ++i) {

@@ -78,11 +78,6 @@ struct GeminiConfig {
   /// signal-slot adaptivity, which also counts active edges, not vertices).
   /// Set > 1.0 to force sparse, 0.0 to force dense.
   double dense_threshold = 0.05;
-  /// LCI injection lanes for the produce path; 0 = one per compute thread.
-  std::size_t lci_lanes = 0;
-  /// Dedicated LCI progress servers (in addition to the host's own server
-  /// thread, which always assists); 0 = none.
-  std::size_t lci_servers = 0;
   /// One-sided direct-write sync (DESIGN.md §15): dense rounds put their
   /// pre-combined per-destination frame straight into the destination's
   /// registered region instead of streaming record batches. Auto/Forced
@@ -166,19 +161,28 @@ class GeminiHost {
       comm::InMessage* m,
       const std::function<void(graph::VertexId, const T&)>& apply);
 
+  /// One dense round's emission: `values[lid]` for every lid in `touched`
+  /// goes to the lid's owner, once. Each peer gets its frame as one direct
+  /// put when its region resolves (direct_put_dense); every other peer's
+  /// records stream through stream_round.
+  template <typename T>
+  void send_dense(const rt::ConcurrentBitset& touched,
+                  const std::vector<T>& values,
+                  const std::function<void(graph::VertexId, const T&)>& apply);
+
   /// Dense-round direct-write fan-out (DESIGN.md §15): serializes one frame
   /// per remote peer from the touched/value scratch and puts it straight
   /// into the peer's registered region. Peers whose frame was put are marked
   /// in direct_skip_ so the streaming producers don't re-send their records;
   /// direct_sent_ feeds the tail's put count. Any failure (no region
   /// published, frame oversized, put unavailable) silently leaves the peer
-  /// on the two-sided path. Called from the round driver before
-  /// stream_round, single-threaded, under a gemini/direct_put span: the
-  /// binning pass counts as compute_s and the puts (with their retries on
-  /// a busy fabric) as comm_s, so the produce/drain split still adds up.
+  /// on the two-sided path. Called from send_dense before stream_round,
+  /// single-threaded, under a gemini/direct_put span: the binning pass
+  /// counts as compute_s and the puts (with their retries on a busy fabric)
+  /// as comm_s, so the produce/drain split still adds up.
   template <typename T>
   void direct_put_dense(const rt::ConcurrentBitset& touched,
-                        const std::function<T(std::size_t)>& value_of);
+                        const std::vector<T>& values);
 
   /// Whether a cluster-wide failure is pending: round waits and back-pressure
   /// retries check this and unwind (never throw - the host-main driver
@@ -261,9 +265,36 @@ void GeminiHost::apply_chunk_typed(
 }
 
 template <typename T>
-void GeminiHost::direct_put_dense(
-    const rt::ConcurrentBitset& touched,
-    const std::function<T(std::size_t)>& value_of) {
+void GeminiHost::send_dense(
+    const rt::ConcurrentBitset& touched, const std::vector<T>& values,
+    const std::function<void(graph::VertexId, const T&)>& apply) {
+  direct_put_dense<T>(touched, values);
+  const std::size_t n_local = g_.num_local;
+  std::atomic<std::size_t> cursor{0};
+  stream_round<T>(
+      [&](std::size_t,
+          const std::function<void(graph::VertexId, const T&)>& emit) {
+        constexpr std::size_t kGrain = 512;
+        for (;;) {
+          const std::size_t lo =
+              cursor.fetch_add(kGrain, std::memory_order_relaxed);
+          if (lo >= n_local) break;
+          const std::size_t hi = std::min(n_local, lo + kGrain);
+          touched.for_each_in_range(lo, hi, [&](std::size_t lid) {
+            const graph::VertexId gid =
+                g_.local_to_global(static_cast<graph::VertexId>(lid));
+            const auto owner = static_cast<std::size_t>(g_.owner_of(gid));
+            if (direct_skip_[owner] != 0) return;  // already put
+            emit(gid, values[lid]);
+          });
+        }
+      },
+      apply);
+}
+
+template <typename T>
+void GeminiHost::direct_put_dense(const rt::ConcurrentBitset& touched,
+                                  const std::vector<T>& values) {
   if (!direct_enabled_) return;
   const int p = g_.num_hosts;
   const int me = g_.host_id;
@@ -283,9 +314,8 @@ void GeminiHost::direct_put_dense(
     if (f.empty()) f.resize(comm::kChunkHeaderBytes);
     const std::size_t off = f.size();
     f.resize(off + rec);
-    const T value = value_of(lid);
     std::memcpy(f.data() + off, &gid, sizeof(gid));
-    std::memcpy(f.data() + off + sizeof(gid), &value, sizeof(T));
+    std::memcpy(f.data() + off + sizeof(gid), &values[lid], sizeof(T));
   });
   stats_.compute_s += timer.elapsed_s();
   timer.reset();
@@ -697,31 +727,7 @@ std::vector<typename Traits::Label> GeminiHost::run_push(
         dense_combine<Traits>(*team_, g_.out_edges, frontier, labels,
                               combined, private_slots, touched);
       });
-      // Direct-write fan-out (DESIGN.md §15): ship each peer's combined
-      // frame as one one-sided put; peers it reached are skipped by the
-      // streaming producers below (direct_skip_), the rest stream as usual.
-      direct_put_dense<Label>(
-          touched, [&](std::size_t dst) { return combined[dst]; });
-      std::atomic<std::size_t> cursor{0};
-      stream_round<Label>(
-          [&](std::size_t, const std::function<void(graph::VertexId,
-                                                    const Label&)>& emit) {
-            constexpr std::size_t kGrain = 512;
-            for (;;) {
-              const std::size_t lo =
-                  cursor.fetch_add(kGrain, std::memory_order_relaxed);
-              if (lo >= n_local) break;
-              const std::size_t hi = std::min(n_local, lo + kGrain);
-              touched.for_each_in_range(lo, hi, [&](std::size_t dst) {
-                const graph::VertexId gid =
-                    g_.local_to_global(static_cast<graph::VertexId>(dst));
-                const auto owner = static_cast<std::size_t>(g_.owner_of(gid));
-                if (direct_skip_[owner] != 0) return;  // already put
-                emit(gid, combined[dst]);
-              });
-            }
-          },
-          apply);
+      send_dense<Label>(touched, combined, apply);
       // Reset only the touched scratch entries; the next dense_combine
       // rewrites `touched` whole.
       touched.for_each([&](std::size_t dst) { combined[dst] = Traits::kInf; });

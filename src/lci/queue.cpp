@@ -3,12 +3,10 @@
 #include "lci/completion.hpp"
 
 #include <cassert>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 
 #include "runtime/cpu_relax.hpp"
-#include "runtime/ult.hpp"
 #include "telemetry/trace.hpp"
 
 namespace lcr::lci {
@@ -17,18 +15,14 @@ namespace {
 /// Retire a request: the single-flag completion store, plus the optional
 /// aggregate counter signal. The signal pointer must be read BEFORE the
 /// Done store: the caller owns the Request and may destroy it the moment it
-/// observes Done (lane mode completes requests from a server thread), so no
-/// field may be touched after the store. The CompletionCounter itself must
+/// observes Done (a rendezvous send completes from the progress thread), so
+/// no field may be touched after the store. The CompletionCounter itself must
 /// outlive its requests by contract (callers wait on counter.complete()).
 inline void mark_done(Request& req) {
   CompletionCounter* const signal = req.signal;
   req.status.store(ReqStatus::Done, std::memory_order_release);
   if (signal != nullptr) signal->signal();
 }
-
-/// Ops a server posts from one lane per visit. Large enough to amortize the
-/// consumer-lock acquisition, small enough that stealers are not starved.
-constexpr std::size_t kLaneBurst = 64;
 
 /// Free tx packets a buffer lease may not consume: leases are held across
 /// the whole gather of a range, so without a floor a wide parallel gather
@@ -42,76 +36,18 @@ Queue::Queue(fabric::Fabric& fabric, fabric::Rank rank, QueueConfig cfg)
       incoming_(cfg.device.rx_packets),
       tracker_(cfg.tracker) {
   recv_q_depth_ = &fabric.telemetry().histogram("lci.recv_q_depth");
-  lane_depth_ = &fabric.telemetry().histogram("lci.lane_depth");
   stat_reg_ = fabric.telemetry().register_probes({
       {"lci.eager_sends", &stats_.eager_sends},
       {"lci.rdv_sends", &stats_.rdv_sends},
       {"lci.send_retries", &stats_.send_retries},
       {"lci.recvs", &stats_.recvs},
       {"lci.progress_events", &stats_.progress_events},
-      {"lci.lane_posts", &stats_.lane_posts},
-      {"lci.lane_steals", &stats_.lane_steals},
-      {"lci.lane_full", &stats_.lane_full},
       {"lci.lease_sends", &stats_.lease_sends},
   });
-  lanes_.reserve(cfg.lanes);
-  for (std::size_t l = 0; l < cfg.lanes; ++l)
-    lanes_.push_back(std::make_unique<Lane>(cfg.lane_depth));
-  const std::size_t shards = fabric.num_ranks() > 0 ? fabric.num_ranks() : 1;
-  put_shards_.reserve(shards);
-  rtr_shards_.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    put_shards_.push_back(std::make_unique<PutShard>());
-    rtr_shards_.push_back(std::make_unique<RtrShard>());
-  }
-}
-
-Queue::~Queue() {
-  // Return any never-posted staged packets to the pool so the device's
-  // packet accounting stays balanced. Requests referenced by these ops are
-  // caller-owned and may already be gone; they are not touched.
-  for (auto& lp : lanes_) {
-    Lane& lane = *lp;
-    if (lane.has_stalled) {
-      device_.tx_free(lane.stalled.packet);
-      lane.has_stalled = false;
-    }
-    while (std::optional<TxOp> op = lane.ring.try_pop())
-      device_.tx_free(op->packet);
-  }
-}
-
-std::size_t Queue::lane_index() const {
-  // Process-wide injector numbering: each execution context (OS thread, or
-  // fiber under the ULT host scheduler) takes the next id the first time it
-  // sends through any lane-mode queue, then hashes onto this queue's lanes.
-  // With lanes >= injectors every lane is SPSC in practice and the producer
-  // lock never spins. Keying by fiber rather than worker matters for
-  // correctness of the SPSC assumption: two host fibers multiplexed onto
-  // one worker must not look like a single injector to a lane whose
-  // consumer-side dedupe is per-injector.
-  static std::atomic<std::size_t> next_injector{0};
-  if (ult::on_fiber()) {
-    static const int slot = ult::fls_alloc(nullptr);
-    void* raw = ult::fls_get(slot);
-    std::size_t id;
-    if (raw == nullptr) {
-      id = next_injector.fetch_add(1, std::memory_order_relaxed);
-      ult::fls_set(slot, reinterpret_cast<void*>(id + 1));
-    } else {
-      id = reinterpret_cast<std::size_t>(raw) - 1;
-    }
-    return id % lanes_.size();
-  }
-  thread_local const std::size_t injector =
-      next_injector.fetch_add(1, std::memory_order_relaxed);
-  return injector % lanes_.size();
 }
 
 bool Queue::send_enq(const void* buf, std::size_t size, fabric::Rank dst,
                      std::uint32_t tag, Request& req) {
-  if (!lanes_.empty()) return send_lane(buf, size, dst, tag, req);
-
   Packet* p = device_.tx_alloc();  // packetAlloc(P, ...)
   if (p == nullptr) {
     stats_.send_retries.fetch_add(1, std::memory_order_relaxed);
@@ -162,63 +98,6 @@ bool Queue::send_enq(const void* buf, std::size_t size, fabric::Rank dst,
   return true;
 }
 
-bool Queue::send_lane(const void* buf, std::size_t size, fabric::Rank dst,
-                      std::uint32_t tag, Request& req) {
-  Packet* p = device_.tx_alloc();
-  if (p == nullptr) {
-    stats_.send_retries.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-
-  req.reset();
-  req.peer = dst;
-  req.tag = tag;
-  req.buffer = const_cast<void*>(buf);
-  req.size = size;
-
-  TxOp op;
-  op.packet = p;
-  op.dst = dst;
-  op.req = &req;
-  op.meta.tag = tag;
-  if (size <= device_.eager_limit()) {
-    // The payload is captured into the packet here, in the sender's thread;
-    // only the post is deferred. The caller's buffer is free after return.
-    std::memcpy(p->data, buf, size);
-    op.meta.kind = static_cast<std::uint8_t>(PacketType::EGR);
-    op.meta.size = static_cast<std::uint32_t>(size);
-  } else {
-    auto* rts = reinterpret_cast<RtsPayload*>(p->data);
-    rts->msg_size = size;
-    rts->send_req = reinterpret_cast<std::uint64_t>(&req);
-    op.meta.kind = static_cast<std::uint8_t>(PacketType::RTS);
-    op.meta.size = sizeof(RtsPayload);
-    op.rdv = true;
-  }
-  // Deferred injection: even eager requests are Pending until a server
-  // posts the op (the documented lane-mode semantics difference).
-  req.status.store(ReqStatus::Pending, std::memory_order_release);
-
-  Lane& lane = *lanes_[lane_index()];
-  bool pushed;
-  {
-    std::lock_guard<rt::Spinlock> guard(lane.producer);
-    pushed = lane.ring.try_push(op);
-  }
-  if (!pushed) {
-    device_.tx_free(p);
-    req.status.store(ReqStatus::Invalid, std::memory_order_release);
-    stats_.lane_full.fetch_add(1, std::memory_order_relaxed);
-    stats_.send_retries.fetch_add(1, std::memory_order_relaxed);
-    return false;  // lane back-pressure: caller retries after progress
-  }
-  const std::size_t depth =
-      lane.depth.fetch_add(1, std::memory_order_relaxed) + 1;
-  stats_.lane_posts.fetch_add(1, std::memory_order_relaxed);
-  if (telemetry::enabled()) lane_depth_->record(depth);
-  return true;
-}
-
 Packet* Queue::lease_tx_packet() {
   return device_.tx_alloc_reserve(kTxLeaseFloor);
 }
@@ -231,37 +110,6 @@ bool Queue::send_leased(Packet* p, std::size_t size, fabric::Rank dst,
   req.tag = tag;
   req.buffer = p->data;
   req.size = size;
-
-  if (!lanes_.empty()) {
-    TxOp op;
-    op.packet = p;
-    op.dst = dst;
-    op.req = &req;
-    op.meta.kind = static_cast<std::uint8_t>(PacketType::EGR);
-    op.meta.tag = tag;
-    op.meta.size = static_cast<std::uint32_t>(size);
-    req.status.store(ReqStatus::Pending, std::memory_order_release);
-    Lane& lane = *lanes_[lane_index()];
-    bool pushed;
-    {
-      std::lock_guard<rt::Spinlock> guard(lane.producer);
-      pushed = lane.ring.try_push(op);
-    }
-    if (!pushed) {
-      // Lane back-pressure. The packet stays leased (contents intact); the
-      // caller makes progress and retries the commit.
-      req.status.store(ReqStatus::Invalid, std::memory_order_release);
-      stats_.lane_full.fetch_add(1, std::memory_order_relaxed);
-      stats_.send_retries.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    const std::size_t depth =
-        lane.depth.fetch_add(1, std::memory_order_relaxed) + 1;
-    stats_.lane_posts.fetch_add(1, std::memory_order_relaxed);
-    stats_.lease_sends.fetch_add(1, std::memory_order_relaxed);
-    if (telemetry::enabled()) lane_depth_->record(depth);
-    return true;
-  }
 
   fabric::MsgMeta meta;
   meta.kind = static_cast<std::uint8_t>(PacketType::EGR);
@@ -279,51 +127,6 @@ bool Queue::send_leased(Packet* p, std::size_t size, fabric::Rank dst,
   stats_.lease_sends.fetch_add(1, std::memory_order_relaxed);
   mark_done(req);
   return true;
-}
-
-bool Queue::post_op(TxOp& op) {
-  const fabric::PostResult r =
-      device_.lc_send(op.dst, op.packet->data, op.meta);
-  if (r != fabric::PostResult::Ok) return false;  // keep packet, retry later
-  device_.tx_free(op.packet);
-  if (op.rdv) {
-    // Completes at RTR time, via serve_rtr's lc_put.
-    stats_.rdv_sends.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    stats_.eager_sends.fetch_add(1, std::memory_order_relaxed);
-    mark_done(*op.req);
-  }
-  return true;
-}
-
-bool Queue::drain_lane(Lane& lane, std::size_t burst) {
-  if (!lane.consumer.try_lock()) return false;  // another server has it
-  bool did_work = false;
-  if (lane.has_stalled) {
-    if (post_op(lane.stalled)) {
-      lane.has_stalled = false;
-      lane.depth.fetch_sub(1, std::memory_order_relaxed);
-      did_work = true;
-    } else {
-      // Still soft-failing: stop here so per-lane FIFO order is kept.
-      lane.consumer.unlock();
-      return did_work;
-    }
-  }
-  while (burst-- > 0) {
-    std::optional<TxOp> op = lane.ring.try_pop();
-    if (!op) break;
-    if (post_op(*op)) {
-      lane.depth.fetch_sub(1, std::memory_order_relaxed);
-      did_work = true;
-    } else {
-      lane.stalled = *op;
-      lane.has_stalled = true;
-      break;
-    }
-  }
-  lane.consumer.unlock();
-  return did_work;
 }
 
 bool Queue::recv_deq(Request& req) {
@@ -373,10 +176,9 @@ bool Queue::recv_deq(Request& req) {
     // Reverse link full. DO NOT spin here: recv_deq runs on engine threads,
     // and a thread that blocks on the reply stops draining its own receive
     // side - with the peer in the symmetric state that is a cross-host
-    // deadlock. Park the reply for the progress servers instead.
-    RtrShard& shard = *rtr_shards_[req.peer % rtr_shards_.size()];
-    std::lock_guard<rt::Spinlock> guard(shard.lock);
-    shard.rtrs.push_back(PendingRtr{req.peer, req.tag, rtr});
+    // deadlock. Park the reply for progress() instead.
+    std::lock_guard<rt::Spinlock> guard(rtr_lock_);
+    pending_rtrs_.push_back(PendingRtr{req.peer, req.tag, rtr});
   }
 
   device_.repost_rx(p);  // give the slab back to the NIC receive window
@@ -406,57 +208,47 @@ void Queue::serve_rtr(const RtrPayload& rtr, fabric::Rank peer) {
     mark_done(*sreq);
   } else {
     // Soft failure (throttled / CQ full): retry on a later progress step.
-    PutShard& shard = *put_shards_[peer % put_shards_.size()];
-    std::lock_guard<rt::Spinlock> guard(shard.lock);
-    shard.puts.push_back(PendingPut{peer, rtr});
+    std::lock_guard<rt::Spinlock> guard(put_lock_);
+    pending_puts_.push_back(PendingPut{peer, rtr});
   }
 }
 
-bool Queue::retry_pending_puts(std::size_t server_id,
-                               std::size_t num_servers) {
+bool Queue::retry_pending_puts() {
   bool did_work = false;
-  for (std::size_t s = server_id; s < put_shards_.size(); s += num_servers) {
-    PutShard& shard = *put_shards_[s];
-    std::lock_guard<rt::Spinlock> guard(shard.lock);
-    std::size_t n = shard.puts.size();
-    while (n-- > 0) {
-      PendingPut pp = shard.puts.front();
-      shard.puts.pop_front();
-      auto* sreq = reinterpret_cast<Request*>(pp.rtr.send_req);
-      const fabric::PostResult r =
-          device_.lc_put(pp.peer, pp.rtr.rkey, sreq->buffer,
-                         static_cast<std::size_t>(pp.rtr.msg_size),
-                         pp.rtr.recv_req);
-      if (r == fabric::PostResult::Ok) {
-        mark_done(*sreq);
-        did_work = true;
-      } else {
-        shard.puts.push_back(pp);
-      }
+  std::lock_guard<rt::Spinlock> guard(put_lock_);
+  std::size_t n = pending_puts_.size();
+  while (n-- > 0) {
+    PendingPut pp = pending_puts_.front();
+    pending_puts_.pop_front();
+    auto* sreq = reinterpret_cast<Request*>(pp.rtr.send_req);
+    const fabric::PostResult r = device_.lc_put(
+        pp.peer, pp.rtr.rkey, sreq->buffer,
+        static_cast<std::size_t>(pp.rtr.msg_size), pp.rtr.recv_req);
+    if (r == fabric::PostResult::Ok) {
+      mark_done(*sreq);
+      did_work = true;
+    } else {
+      pending_puts_.push_back(pp);
     }
   }
   return did_work;
 }
 
-bool Queue::retry_pending_rtrs(std::size_t server_id,
-                               std::size_t num_servers) {
+bool Queue::retry_pending_rtrs() {
   bool did_work = false;
-  for (std::size_t s = server_id; s < rtr_shards_.size(); s += num_servers) {
-    RtrShard& shard = *rtr_shards_[s];
-    std::lock_guard<rt::Spinlock> guard(shard.lock);
-    std::size_t n = shard.rtrs.size();
-    while (n-- > 0) {
-      PendingRtr pr = shard.rtrs.front();
-      shard.rtrs.pop_front();
-      fabric::MsgMeta meta;
-      meta.kind = static_cast<std::uint8_t>(PacketType::RTR);
-      meta.tag = pr.tag;
-      meta.size = sizeof(RtrPayload);
-      if (device_.lc_send(pr.peer, &pr.rtr, meta) == fabric::PostResult::Ok) {
-        did_work = true;
-      } else {
-        shard.rtrs.push_back(pr);
-      }
+  std::lock_guard<rt::Spinlock> guard(rtr_lock_);
+  std::size_t n = pending_rtrs_.size();
+  while (n-- > 0) {
+    PendingRtr pr = pending_rtrs_.front();
+    pending_rtrs_.pop_front();
+    fabric::MsgMeta meta;
+    meta.kind = static_cast<std::uint8_t>(PacketType::RTR);
+    meta.tag = pr.tag;
+    meta.size = sizeof(RtrPayload);
+    if (device_.lc_send(pr.peer, &pr.rtr, meta) == fabric::PostResult::Ok) {
+      did_work = true;
+    } else {
+      pending_rtrs_.push_back(pr);
     }
   }
   return did_work;
@@ -503,27 +295,10 @@ bool Queue::dispatch_one_event() {
   return true;
 }
 
-bool Queue::progress_shard(std::size_t server_id, std::size_t num_servers) {
-  if (num_servers == 0) num_servers = 1;
-  bool did_work = retry_pending_puts(server_id, num_servers);
-  did_work |= retry_pending_rtrs(server_id, num_servers);
-  const std::size_t num_lanes = lanes_.size();
-  for (std::size_t l = server_id; l < num_lanes; l += num_servers)
-    did_work |= drain_lane(*lanes_[l], kLaneBurst);
+bool Queue::progress() {
+  bool did_work = retry_pending_puts();
+  did_work |= retry_pending_rtrs();
   did_work |= dispatch_one_event();
-  if (!did_work && num_lanes > 0 && num_servers > 1) {
-    // Idle: steal one backlogged lane homed on another server. depth is a
-    // cheap pre-filter; the consumer try-lock is the real arbiter.
-    for (std::size_t l = 0; l < num_lanes; ++l) {
-      if (l % num_servers == server_id) continue;
-      if (lanes_[l]->depth.load(std::memory_order_relaxed) == 0) continue;
-      if (drain_lane(*lanes_[l], kLaneBurst)) {
-        stats_.lane_steals.fetch_add(1, std::memory_order_relaxed);
-        did_work = true;
-        break;
-      }
-    }
-  }
   return did_work;
 }
 

@@ -15,35 +15,27 @@
 //     per-packet-type callbacks: queue EGR/RTS for recv_deq, serve RTR by
 //     issuing the lc_put, retire requests on RDMA notifications.
 //
-// Injection lanes (multi-server scaling): with QueueConfig::lanes > 0,
-// send_enq no longer posts to the fabric at the call site. It stages the
-// fully-formed wire operation (packet + metadata) into a per-thread SPSC
-// ring; progress servers drain the rings and do the actual posting. Senders
-// then touch no shared fabric state at all - the endpoint locks are paid
-// only by the (few) servers, which is what lets injection throughput scale
-// with compute-thread count. The trade: eager requests complete when a
-// server posts them, not at send_enq return. lanes == 0 keeps the legacy
-// inline path and its complete-at-return eager semantics.
+// Injection is inline: send_enq and send_leased post to the fabric at the
+// call site, so an eager request is done() when the call returns. Many
+// compute threads may post concurrently; the reliability channel assigns its
+// per-link sequence number under the link's tx lock at post time, so the
+// wire traffic on each link stays in sequence (DESIGN.md §10).
 //
-// Thread-safety: send_enq and recv_deq may be called concurrently from many
-// threads (the packet pool and queue Q are concurrent); progress /
-// progress_shard may be called concurrently from several server threads -
-// lanes are claimed with a consumer try-lock and the pending-put retry queue
-// is sharded by peer rank, each shard under its own lock.
+// Thread-safety: send_enq, send_leased and recv_deq may be called
+// concurrently from many threads (the packet pool and queue Q are
+// concurrent); progress may be called concurrently from the server and from
+// any thread that lends itself to progress - the retry deques are locked.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
-#include <vector>
 
 #include "lci/device.hpp"
 #include "lci/request.hpp"
 #include "runtime/mem_tracker.hpp"
 #include "runtime/mpmc_queue.hpp"
 #include "runtime/spinlock.hpp"
-#include "runtime/spsc_ring.hpp"
 
 namespace lcr::lci {
 
@@ -51,13 +43,6 @@ struct QueueConfig {
   DeviceConfig device;
   /// Tracker for rendezvous receive-buffer allocations (Fig 5 accounting).
   rt::MemTracker* tracker = nullptr;
-  /// Number of SPSC injection lanes. 0 = legacy inline injection (send_enq
-  /// posts at the call site; eager sends complete at return). > 0 = deferred
-  /// injection: sender threads stage into lanes, progress servers post.
-  /// Size to the expected number of concurrently-injecting threads.
-  std::size_t lanes = 0;
-  /// Capacity of each injection lane ring (ops; each op pins a tx packet).
-  std::size_t lane_depth = 256;
 };
 
 struct QueueStats {
@@ -66,16 +51,12 @@ struct QueueStats {
   std::atomic<std::uint64_t> send_retries{0};  // pool exhausted / fabric soft-fail
   std::atomic<std::uint64_t> recvs{0};
   std::atomic<std::uint64_t> progress_events{0};
-  std::atomic<std::uint64_t> lane_posts{0};   // ops staged into lanes
-  std::atomic<std::uint64_t> lane_steals{0};  // lanes drained by a non-home server
-  std::atomic<std::uint64_t> lane_full{0};    // send_enq rejected: lane ring full
   std::atomic<std::uint64_t> lease_sends{0};  // zero-copy leased-packet sends
 };
 
 class Queue {
  public:
   Queue(fabric::Fabric& fabric, fabric::Rank rank, QueueConfig cfg);
-  ~Queue();
 
   Queue(const Queue&) = delete;
   Queue& operator=(const Queue&) = delete;
@@ -84,13 +65,11 @@ class Queue {
   std::size_t eager_limit() const noexcept { return device_.eager_limit(); }
   Device& device() noexcept { return device_; }
   QueueStats& stats() noexcept { return stats_; }
-  std::size_t num_lanes() const noexcept { return lanes_.size(); }
 
   /// Algorithm 1. Returns false when resources are exhausted (retry later).
-  /// `req` must stay alive and un-moved until req.done(). In lane mode the
-  /// payload is staged (eager) or latched (rendezvous) before return, so the
-  /// caller's `buf` may be reused once req.done(); with lanes == 0 eager
-  /// requests are already done() at return.
+  /// Eager requests are done() at return. A rendezvous request completes
+  /// when the server has put the data; until then `req` must stay alive and
+  /// un-moved and `buf` unmodified.
   bool send_enq(const void* buf, std::size_t size, fabric::Rank dst,
                 std::uint32_t tag, Request& req);
 
@@ -108,7 +87,7 @@ class Queue {
   /// On soft failure returns false and - unlike send_enq - the packet STAYS
   /// LEASED with its contents intact, so the caller retries the commit
   /// without re-serializing. On success the packet returns to the pool and
-  /// `req` completes with the usual lane-mode/inline semantics.
+  /// `req` is done().
   bool send_leased(Packet* p, std::size_t size, fabric::Rank dst,
                    std::uint32_t tag, Request& req);
 
@@ -122,16 +101,10 @@ class Queue {
   /// NIC receive window, or frees a rendezvous buffer.
   void release(Request& req);
 
-  /// Algorithm 3, one step. Returns true if any work was done (an event
-  /// processed, a lane op posted, or a pending put retried successfully).
-  bool progress() { return progress_shard(0, 1); }
-
-  /// One step of server `server_id` of `num_servers`: retries its share of
-  /// pending puts (peer-rank shards), drains its home lanes
-  /// (lane % num_servers == server_id), processes one fabric event, and -
-  /// only when all of that came up empty - steals one backlogged lane from
-  /// another server. Safe to call concurrently from several threads.
-  bool progress_shard(std::size_t server_id, std::size_t num_servers);
+  /// Algorithm 3, one step: retries soft-failed puts and RTR replies, then
+  /// processes one fabric event. Returns true if any work was done. Safe to
+  /// call concurrently from several threads.
+  bool progress();
 
   /// Drain everything currently deliverable.
   void progress_all() {
@@ -152,75 +125,34 @@ class Queue {
   /// notification metadata (immediates carry generation/phase/bytes). It
   /// runs on whichever thread drives progress, so it must be cheap and must
   /// not call back into this Queue. Install before any concurrent progress
-  /// driver (server group / compute threads) starts; the slot is not
+  /// driver (server / compute threads) starts; the slot is not
   /// synchronized against in-flight dispatch.
   void set_signal_handler(std::function<void(const fabric::MsgMeta&)> fn) {
     signal_handler_ = std::move(fn);
   }
 
  private:
-  /// A staged wire operation: everything a server needs to post it.
-  struct TxOp {
-    Packet* packet = nullptr;
-    fabric::MsgMeta meta{};
-    fabric::Rank dst = 0;
-    Request* req = nullptr;
-    bool rdv = false;
-  };
-
-  /// One injection lane. The ring is SPSC; the producer lock serializes
-  /// threads that hash to the same lane (uncontended when lanes >= threads),
-  /// the consumer try-lock arbitrates the home server vs. stealers. The
-  /// one-slot `stalled` op preserves per-lane FIFO across fabric soft
-  /// failures (guarded by the consumer lock).
-  struct Lane {
-    explicit Lane(std::size_t depth) : ring(depth) {}
-    rt::SpscRing<TxOp> ring;
-    rt::Spinlock producer;
-    rt::Spinlock consumer;
-    std::atomic<std::size_t> depth{0};  // ring entries + stalled slot
-    TxOp stalled{};
-    bool has_stalled = false;
-  };
-
   struct PendingPut {
     fabric::Rank peer;
     RtrPayload rtr;
-  };
-  /// Soft-failed lc_puts, sharded by peer rank so servers retry disjoint
-  /// shares without contending on one lock.
-  struct PutShard {
-    rt::Spinlock lock;
-    std::deque<PendingPut> puts;
   };
 
   /// An RTR control reply whose lc_send soft-failed (reverse link
   /// throttled). recv_deq runs on engine threads, and an engine thread that
   /// spins on the reverse link stops draining its own receive side - at
   /// scale that wedges the whole cluster (A's link to B is full because B is
-  /// stuck sending to A). So the reply is staged here by value and the
-  /// progress servers retry it; the receive request stays Pending and
+  /// stuck sending to A). So the reply is staged here by value and
+  /// progress() retries it; the receive request stays Pending and
   /// completes on the RDMA notification as usual.
   struct PendingRtr {
     fabric::Rank peer;
     std::uint32_t tag;
     RtrPayload rtr;
   };
-  struct RtrShard {
-    rt::Spinlock lock;
-    std::deque<PendingRtr> rtrs;
-  };
 
-  bool send_lane(const void* buf, std::size_t size, fabric::Rank dst,
-                 std::uint32_t tag, Request& req);
-  std::size_t lane_index() const;
-  /// Posts one staged op. True = posted (packet freed, request advanced);
-  /// false = fabric soft failure, op untouched for a later retry.
-  bool post_op(TxOp& op);
-  bool drain_lane(Lane& lane, std::size_t burst);
   void serve_rtr(const RtrPayload& rtr, fabric::Rank peer);
-  bool retry_pending_puts(std::size_t server_id, std::size_t num_servers);
-  bool retry_pending_rtrs(std::size_t server_id, std::size_t num_servers);
+  bool retry_pending_puts();
+  bool retry_pending_rtrs();
   bool dispatch_one_event();
 
   Device device_;
@@ -228,12 +160,13 @@ class Queue {
   rt::MemTracker* tracker_;
   QueueStats stats_;
   telemetry::Histogram* recv_q_depth_ = nullptr;  // Q occupancy at enqueue
-  telemetry::Histogram* lane_depth_ = nullptr;    // lane occupancy at enqueue
   telemetry::Registration stat_reg_;  // QueueStats probes ("lci.*")
 
-  std::vector<std::unique_ptr<Lane>> lanes_;
-  std::vector<std::unique_ptr<PutShard>> put_shards_;
-  std::vector<std::unique_ptr<RtrShard>> rtr_shards_;
+  // Soft-failed lc_puts and RTR replies, retried by progress().
+  rt::Spinlock put_lock_;
+  std::deque<PendingPut> pending_puts_;
+  rt::Spinlock rtr_lock_;
+  std::deque<PendingRtr> pending_rtrs_;
   std::function<void(const fabric::MsgMeta&)> signal_handler_;
 };
 

@@ -1,7 +1,5 @@
 #include "lci/server.hpp"
 
-#include <string>
-
 #include "runtime/cpu_relax.hpp"
 #include "runtime/timer.hpp"
 #include "telemetry/profiler.hpp"
@@ -24,32 +22,28 @@ void ProgressServer::stop() {
 void ProgressServer::loop() {
   rt::Backoff backoff;
   fabric::ReliableChannel& channel = queue_.device().reliable();
-  // A lone server keeps the legacy "lci.server" prefix; a sharded group
-  // gets per-server prefixes so work-vs-idle is attributed per server.
-  const std::string prefix =
-      count_ > 1 ? "lci.server" + std::to_string(id_) : "lci.server";
   telemetry::ProgressProfiler profiler(queue_.device().fabric().telemetry(),
-                                       prefix.c_str());
+                                       "lci.server");
   const std::uint64_t quiet_ns = channel.config().watchdog_quiet_ns;
   std::uint64_t last_forward_ns = rt::now_ns();
   std::uint64_t last_dump_ns = last_forward_ns;
   while (!stop_.load(std::memory_order_acquire)) {
-    const bool did_work = queue_.progress_shard(id_, count_);
+    const bool did_work = queue_.progress();
     profiler.note(did_work);
     if (did_work) {
       backoff.reset();
       last_forward_ns = rt::now_ns();
     } else {
       // Adaptive poll backoff: spin with cpu_relax first, yield once the
-      // queue stays quiet (essential when servers oversubscribe cores).
+      // queue stays quiet (essential when the server oversubscribes cores).
       backoff.pause();
       // Server-side stall watchdog: the channel's own watchdog covers
       // unacked traffic it originated; this one also catches a loop that
       // spins forever with nothing locally in flight (e.g. waiting on a
       // peer whose retransmit ring is wedged). Dump at most once per quiet
-      // period, only on a channel actually running the reliability
-      // protocol, and only from server 0 of a group to avoid N copies.
-      if (id_ == 0 && channel.active() && quiet_ns > 0) {
+      // period, and only on a channel actually running the reliability
+      // protocol.
+      if (channel.active() && quiet_ns > 0) {
         const std::uint64_t now = rt::now_ns();
         if (now - last_forward_ns >= quiet_ns &&
             now - last_dump_ns >= quiet_ns && channel.has_inflight()) {
@@ -59,8 +53,7 @@ void ProgressServer::loop() {
       }
     }
   }
-  // Final drain so no completion is stranded at shutdown. progress_all
-  // services every lane and shard regardless of this server's share.
+  // Final drain so no completion is stranded at shutdown.
   queue_.progress_all();
 }
 

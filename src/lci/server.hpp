@@ -3,21 +3,12 @@
 // "The progress is implicit and typically ensured by a communication server.
 // When the communication is finished, a boolean flag is set." The server is
 // the thread that drains the NIC; compute threads interact with it through
-// nothing but the request status flags and the concurrent queue Q.
-//
-// Multi-server scaling: several servers may run over one Queue. Server `id`
-// of `count` services the injection lanes and pending-put shards with
-// index % count == id (see Queue::progress_shard), and steals backlogged
-// lanes from its siblings when its own share is idle. Each server publishes
-// its own work-vs-idle profile ("lci.server<id>" when count > 1) so
-// telemetry attributes time per server, not per pool.
+// nothing but the request status flags and the concurrent queue Q. It
+// publishes its work-vs-idle profile under "lci.server".
 #pragma once
 
 #include <atomic>
-#include <cstddef>
-#include <memory>
 #include <thread>
-#include <vector>
 
 #include "lci/queue.hpp"
 
@@ -25,9 +16,7 @@ namespace lcr::lci {
 
 class ProgressServer {
  public:
-  explicit ProgressServer(Queue& queue, std::size_t id = 0,
-                          std::size_t count = 1)
-      : queue_(queue), id_(id), count_(count == 0 ? 1 : count) {}
+  explicit ProgressServer(Queue& queue) : queue_(queue) {}
   ~ProgressServer() { stop(); }
 
   ProgressServer(const ProgressServer&) = delete;
@@ -43,43 +32,13 @@ class ProgressServer {
     return running_.load(std::memory_order_acquire);
   }
 
-  std::size_t id() const noexcept { return id_; }
-
  private:
   void loop();
 
   Queue& queue_;
-  const std::size_t id_;
-  const std::size_t count_;
   std::thread thread_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_{false};
-};
-
-/// N progress servers sharding one Queue's lanes and peer ranks.
-class ProgressServerGroup {
- public:
-  ProgressServerGroup(Queue& queue, std::size_t count) {
-    if (count == 0) count = 1;
-    servers_.reserve(count);
-    for (std::size_t i = 0; i < count; ++i)
-      servers_.push_back(std::make_unique<ProgressServer>(queue, i, count));
-  }
-  ~ProgressServerGroup() { stop(); }
-
-  ProgressServerGroup(const ProgressServerGroup&) = delete;
-  ProgressServerGroup& operator=(const ProgressServerGroup&) = delete;
-
-  void start() {
-    for (auto& s : servers_) s->start();
-  }
-  void stop() {
-    for (auto& s : servers_) s->stop();
-  }
-  std::size_t size() const noexcept { return servers_.size(); }
-
- private:
-  std::vector<std::unique_ptr<ProgressServer>> servers_;
 };
 
 }  // namespace lcr::lci

@@ -24,7 +24,7 @@
 //     notify that races ahead of the park is remembered (the park returns
 //     immediately), like a binary semaphore.
 //   * Fiber-local storage (fls_*) re-keys state that used to be thread_local
-//     (telemetry trace rings, serializer scratch, LCI lane bindings) by
+//     (telemetry trace rings, serializer scratch, lid decode caches) by
 //     simulated-host identity instead of OS-thread identity.
 //
 // Locking rule (DESIGN.md §16): never yield or park while holding a lock

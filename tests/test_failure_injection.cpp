@@ -101,13 +101,9 @@ fabric::FabricConfig lossy_config(double drop_rate) {
   return fcfg;
 }
 
-/// Params: backend x drop rate x LCI progress servers. The server count
-/// (third axis) exercises multi-server sharded progress with work stealing
-/// over the lossy fabric: reordered multi-lane injection must still be
-/// re-sequenced per link by the reliability channel. Non-LCI backends run
-/// with servers == 0 (the axis does not apply).
+/// Params: backend x drop rate.
 class LossyFabric : public ::testing::TestWithParam<
-                        std::tuple<comm::BackendKind, double, int>> {
+                        std::tuple<comm::BackendKind, double>> {
  protected:
   bench::RunSpec base_spec() const {
     bench::RunSpec spec;
@@ -115,7 +111,6 @@ class LossyFabric : public ::testing::TestWithParam<
     spec.hosts = 3;
     spec.policy = graph::PartitionPolicy::CartesianVertexCut;
     spec.fabric = lossy_config(std::get<1>(GetParam()));
-    spec.lci_servers = static_cast<std::size_t>(std::get<2>(GetParam()));
     return spec;
   }
   /// The protocol must actually have been exercised, not bypassed. Whether
@@ -164,7 +159,7 @@ TEST_P(LossyFabric, SsspExact) {
 }
 
 std::string lossy_name(
-    const ::testing::TestParamInfo<std::tuple<comm::BackendKind, double, int>>&
+    const ::testing::TestParamInfo<std::tuple<comm::BackendKind, double>>&
         info) {
   std::string name;
   switch (std::get<0>(info.param)) {
@@ -173,26 +168,15 @@ std::string lossy_name(
     default: name = "mpi_rma"; break;
   }
   name += std::get<1>(info.param) < 0.02 ? "_drop1" : "_drop5";
-  if (std::get<2>(info.param) > 0)
-    name += "_srv" + std::to_string(std::get<2>(info.param));
   return name;
 }
 
-// LCI: the full multi-server matrix, servers in {1, 2, 4} x 1%/5% drop.
-INSTANTIATE_TEST_SUITE_P(
-    LciMultiServer, LossyFabric,
-    ::testing::Combine(::testing::Values(comm::BackendKind::Lci),
-                       ::testing::Values(0.01, 0.05),
-                       ::testing::Values(1, 2, 4)),
-    lossy_name);
-
-// MPI layers: no LCI progress servers; the drop-rate axis as before.
 INSTANTIATE_TEST_SUITE_P(
     DropRates, LossyFabric,
-    ::testing::Combine(::testing::Values(comm::BackendKind::MpiProbe,
+    ::testing::Combine(::testing::Values(comm::BackendKind::Lci,
+                                         comm::BackendKind::MpiProbe,
                                          comm::BackendKind::MpiRma),
-                       ::testing::Values(0.01, 0.05),
-                       ::testing::Values(0)),
+                       ::testing::Values(0.01, 0.05)),
     lossy_name);
 
 // ---------------------------------------------------------------------------

@@ -392,211 +392,5 @@ TEST_F(LciPairTest, StatsCountProtocolPaths) {
   if (r.buffer != nullptr) q1.release(r);
 }
 
-// ---------------------------------------------------------------------------
-// Multi-lane injection (DESIGN.md §10): send_enq stages into per-thread SPSC
-// lanes; progress servers shard and post. lanes == 0 above keeps the legacy
-// inline semantics those tests rely on.
-// ---------------------------------------------------------------------------
-
-lci::QueueConfig lane_cfg(std::size_t lanes, std::size_t lane_depth,
-                          std::size_t tx = 64, std::size_t rx = 128) {
-  lci::QueueConfig cfg;
-  cfg.device.tx_packets = tx;
-  cfg.device.rx_packets = rx;
-  cfg.lanes = lanes;
-  cfg.lane_depth = lane_depth;
-  return cfg;
-}
-
-TEST(LciLanes, NumLanesReflectsConfig) {
-  fabric::Fabric fab(2, fabric::test_config());
-  lci::Queue legacy(fab, 0, lane_cfg(/*lanes=*/0, /*lane_depth=*/0));
-  EXPECT_EQ(legacy.num_lanes(), 0u);
-  lci::Queue laned(fab, 1, lane_cfg(/*lanes=*/3, /*lane_depth=*/16));
-  EXPECT_EQ(laned.num_lanes(), 3u);
-}
-
-TEST(LciLanes, EagerCompletesOnPostNotAtReturn) {
-  fabric::Fabric fab(2, fabric::test_config());
-  lci::Queue q0(fab, 0, lane_cfg(1, 64));
-  lci::Queue q1(fab, 1, lane_cfg(0, 0));
-
-  const std::uint64_t v = 42;
-  lci::Request sreq;
-  ASSERT_TRUE(q0.send_enq(&v, sizeof(v), 1, 7, sreq));
-  // Staged (lane_posts counts staged ops), not posted: still pending,
-  // nothing on the wire yet.
-  EXPECT_FALSE(sreq.done());
-  EXPECT_EQ(q0.stats().lane_posts.load(), 1u);
-  EXPECT_EQ(q0.stats().eager_sends.load(), 0u);
-
-  EXPECT_TRUE(q0.progress());  // posts the staged op
-  EXPECT_TRUE(sreq.done());
-  EXPECT_EQ(q0.stats().eager_sends.load(), 1u);
-
-  q1.progress_all();
-  lci::Request rreq;
-  ASSERT_TRUE(q1.recv_deq(rreq));
-  EXPECT_EQ(rreq.tag, 7u);
-  EXPECT_EQ(*static_cast<const std::uint64_t*>(rreq.buffer), v);
-  q1.release(rreq);
-}
-
-TEST(LciLanes, FullLaneIsRetryableBackpressure) {
-  fabric::Fabric fab(2, fabric::test_config());
-  // Deep tx pool, shallow lane: the lane is the bottleneck, not packets.
-  lci::Queue q0(fab, 0, lane_cfg(1, /*lane_depth=*/4, /*tx=*/64));
-  lci::Queue q1(fab, 1, lane_cfg(0, 0));
-
-  const std::uint32_t v = 1;
-  std::vector<std::unique_ptr<lci::Request>> reqs;
-  int staged = 0;
-  for (int i = 0; i < 64; ++i) {
-    auto req = std::make_unique<lci::Request>();
-    if (!q0.send_enq(&v, sizeof(v), 1, 0, *req)) break;
-    ++staged;
-    reqs.push_back(std::move(req));
-  }
-  EXPECT_GT(staged, 0);
-  EXPECT_LT(staged, 64);  // the lane filled up
-  EXPECT_GT(q0.stats().lane_full.load(), 0u);
-
-  // A failed staging must not leak a tx packet or leave the request pending.
-  lci::Request probe;
-  EXPECT_FALSE(q0.send_enq(&v, sizeof(v), 1, 0, probe));
-  EXPECT_FALSE(probe.done());
-
-  // After the server drains the lane, staging succeeds again.
-  q0.progress_all();
-  lci::Request retry;
-  EXPECT_TRUE(q0.send_enq(&v, sizeof(v), 1, 0, retry));
-  q0.progress_all();
-  q1.progress_all();
-  lci::Request r;
-  while (q1.recv_deq(r)) q1.release(r);
-}
-
-TEST(LciLanes, IdleServerStealsForeignLane) {
-  fabric::Fabric fab(2, fabric::test_config());
-  lci::Queue q0(fab, 0, lane_cfg(1, 64));
-  lci::Queue q1(fab, 1, lane_cfg(0, 0));
-
-  // Lane 0 is homed on server 0 of 2. Only server 1 runs progress: its home
-  // share is empty, so the staged ops can only complete via the steal pass.
-  constexpr int kCount = 5;
-  std::vector<std::unique_ptr<lci::Request>> reqs;
-  const std::uint64_t v = 9;
-  for (int i = 0; i < kCount; ++i) {
-    auto req = std::make_unique<lci::Request>();
-    ASSERT_TRUE(q0.send_enq(&v, sizeof(v), 1, 0, *req));
-    reqs.push_back(std::move(req));
-  }
-  EXPECT_EQ(q0.stats().lane_steals.load(), 0u);
-  for (int i = 0; i < 100 && q0.stats().eager_sends.load() < kCount; ++i)
-    q0.progress_shard(/*server_id=*/1, /*num_servers=*/2);
-  EXPECT_EQ(q0.stats().eager_sends.load(), static_cast<std::size_t>(kCount));
-  EXPECT_GE(q0.stats().lane_steals.load(), 1u);
-  for (const auto& req : reqs) EXPECT_TRUE(req->done());
-
-  q1.progress_all();
-  lci::Request r;
-  int got = 0;
-  while (q1.recv_deq(r)) {
-    q1.release(r);
-    ++got;
-  }
-  EXPECT_EQ(got, kCount);
-}
-
-TEST(LciLanes, RendezvousFlowsThroughLane) {
-  fabric::Fabric fab(2, fabric::test_config());
-  rt::MemTracker tracker;
-  lci::QueueConfig cfg = lane_cfg(2, 64);
-  cfg.tracker = &tracker;
-  lci::Queue q0(fab, 0, cfg);
-  lci::Queue q1(fab, 1, lane_cfg(0, 0));
-
-  std::vector<char> big(q0.eager_limit() * 2 + 13);
-  for (std::size_t i = 0; i < big.size(); ++i)
-    big[i] = static_cast<char>(i * 13 + 1);
-  lci::Request sreq;
-  ASSERT_TRUE(q0.send_enq(big.data(), big.size(), 1, 3, sreq));
-  EXPECT_FALSE(sreq.done());
-
-  // RTS is staged; progress posts it, the receiver answers RTR, the sender's
-  // progress serves the put.
-  lci::Request rreq;
-  bool dequeued = false;
-  for (int i = 0; i < 300 && !(sreq.done() && dequeued && rreq.done()); ++i) {
-    q0.progress_all();
-    q1.progress_all();
-    if (!dequeued && q1.recv_deq(rreq)) dequeued = true;
-  }
-  ASSERT_TRUE(dequeued);
-  ASSERT_TRUE(sreq.done());
-  ASSERT_TRUE(rreq.done());
-  EXPECT_EQ(std::memcmp(rreq.buffer, big.data(), big.size()), 0);
-  EXPECT_EQ(q0.stats().rdv_sends.load(), 1u);
-  q1.release(rreq);
-}
-
-TEST(LciLanes, ServerGroupDeliversConcurrentSenders) {
-  fabric::Fabric fab(2, fabric::test_config());
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 100;
-  lci::Queue q0(fab, 0, lane_cfg(kThreads, 64, /*tx=*/256, /*rx=*/256));
-  lci::Queue q1(fab, 1, lane_cfg(0, 0, /*tx=*/64, /*rx=*/256));
-
-  lci::ProgressServerGroup group(q0, /*count=*/2);
-  EXPECT_EQ(group.size(), 2u);
-  group.start();
-
-  std::vector<std::thread> senders;
-  for (int t = 0; t < kThreads; ++t) {
-    senders.emplace_back([&, t] {
-      std::vector<lci::Request> window(8);
-      for (int i = 0; i < kPerThread; ++i) {
-        lci::Request& req = window[static_cast<std::size_t>(i) % 8];
-        while (req.status.load(std::memory_order_acquire) ==
-               lci::ReqStatus::Pending)
-          std::this_thread::yield();
-        const std::uint64_t payload =
-            (static_cast<std::uint64_t>(t) << 32) |
-            static_cast<std::uint64_t>(i);
-        while (!q0.send_enq(&payload, sizeof(payload), 1,
-                            static_cast<std::uint32_t>(t), req))
-          std::this_thread::yield();
-      }
-      for (auto& req : window)
-        while (req.status.load(std::memory_order_acquire) ==
-               lci::ReqStatus::Pending)
-          std::this_thread::yield();
-    });
-  }
-
-  constexpr int kTotal = kThreads * kPerThread;
-  std::vector<int> per_thread(kThreads, 0);
-  int got = 0;
-  while (got < kTotal) {
-    q1.progress();
-    lci::Request r;
-    while (q1.recv_deq(r)) {
-      const auto payload = *static_cast<const std::uint64_t*>(r.buffer);
-      const auto t = static_cast<std::size_t>(payload >> 32);
-      ASSERT_LT(t, static_cast<std::size_t>(kThreads));
-      ++per_thread[t];
-      q1.release(r);
-      ++got;
-    }
-    std::this_thread::yield();
-  }
-  for (auto& s : senders) s.join();
-  group.stop();
-
-  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(per_thread[t], kPerThread);
-  EXPECT_EQ(q0.stats().lane_posts.load(), static_cast<std::size_t>(kTotal));
-  EXPECT_EQ(q0.stats().eager_sends.load(), static_cast<std::size_t>(kTotal));
-}
-
 }  // namespace
 }  // namespace lcr

@@ -1,8 +1,9 @@
 // ReliableChannel protocol tests over a deliberately lossy fabric: seeded
 // fault replay, CRC rejection + retransmit recovery, duplicate suppression,
-// probe-first put recovery, and the brownout stall watchdog. All tests run
-// the channel raw (no LCI/mpilite on top), single-threaded, in lock-step,
-// with the deterministic tick clock.
+// probe-first put recovery, and the brownout stall watchdog. These run the
+// channel raw (no LCI/mpilite on top), single-threaded, in lock-step, with
+// the deterministic tick clock. The last case runs the full LCI stack with
+// concurrent posting threads instead.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -17,6 +18,7 @@
 #include "lci/queue.hpp"
 #include "lci/server.hpp"
 #include "runtime/cpu_relax.hpp"
+#include "runtime/timer.hpp"
 
 namespace lcr {
 namespace {
@@ -423,26 +425,22 @@ TEST(Reliability, RetransmitRingAppliesBackPressure) {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-server progress over a lossy fabric: the full LCI stack (injection
-// lanes -> sharded progress servers with stealing -> reliability channel).
-// Lane draining reorders posts across lanes, so this checks the DESIGN §10
-// ordering argument end to end: per-link sequencing is re-established at the
-// endpoint boundary and every message is delivered exactly once, intact.
+// Concurrent inline posting over a lossy fabric: the full LCI stack (many
+// threads calling send_enq / send_leased on one Queue -> one ProgressServer
+// -> reliability channel). Each thread posts at its own call site, so this
+// checks the DESIGN §10 ordering argument end to end: the channel numbers
+// each post under its link's tx lock, so every message is delivered exactly
+// once, intact, and in its sender's order.
 // ---------------------------------------------------------------------------
 
-class MultiServerLossy
-    : public ::testing::TestWithParam<std::tuple<int, double>> {};
-
-TEST_P(MultiServerLossy, ExactlyOnceDeliveryWithShardedServers) {
-  const int servers = std::get<0>(GetParam());
-  const double drop = std::get<1>(GetParam());
-  constexpr int kSenders = 3;
-  constexpr int kPerSender = 120;
+TEST(ConcurrentInlinePosting, ExactlyOnceInSenderOrderAtFivePercentDrop) {
+  constexpr int kSenders = 4;
+  constexpr int kPerSender = 400;
   constexpr std::uint32_t kTagStride = 1000;
 
   fabric::FabricConfig cfg = fabric::test_config();
   cfg.fault.seed = 0xFEED5EED;
-  cfg.fault.drop_rate = drop;
+  cfg.fault.drop_rate = 0.05;
   cfg.fault.dup_rate = 0.01;
   cfg.fault.corrupt_rate = 0.005;
   fabric::Fabric fab(2, cfg);
@@ -450,102 +448,108 @@ TEST_P(MultiServerLossy, ExactlyOnceDeliveryWithShardedServers) {
   lci::QueueConfig qcfg;
   qcfg.device.tx_packets = 128;
   qcfg.device.rx_packets = 256;
-  qcfg.lanes = kSenders;
-  qcfg.lane_depth = 64;
   lci::Queue q0(fab, 0, qcfg);
-  lci::Queue q1(fab, 1, lci::QueueConfig{});
-  lci::ProgressServerGroup group(q0, static_cast<std::size_t>(servers));
-  group.start();
-  lci::ProgressServer peer_server(q1);
-  peer_server.start();
+  lci::Queue q1(fab, 1, qcfg);
+  lci::ProgressServer server(q0);
+  server.start();
 
+  // Message i of a sender: every 10th goes rendezvous through send_enq (the
+  // RTS is posted inline, the put by the server), the other odd ones through
+  // a leased packet, the rest eager through send_enq.
+  const auto is_rdv = [](int i) { return i % 10 == 9; };
+  const auto is_leased = [&](int i) { return !is_rdv(i) && i % 2 == 1; };
   const std::size_t rdv_bytes = q0.eager_limit() + 512;
+  const auto rdv_byte = [](std::uint32_t tag, std::size_t j) {
+    return static_cast<std::byte>((tag + j) & 0xFF);
+  };
+
   std::vector<std::thread> senders;
   for (int t = 0; t < kSenders; ++t) {
     senders.emplace_back([&, t] {
-      // Every 10th message goes rendezvous so RTS/RTR/put recovery runs
-      // through the sharded pending-put retry path too.
       std::vector<std::byte> big(rdv_bytes);
-      std::array<lci::Request, 8> window;
+      lci::Request req;
       for (int i = 0; i < kPerSender; ++i) {
-        const std::uint32_t tag =
-            static_cast<std::uint32_t>(t) * kTagStride +
-            static_cast<std::uint32_t>(i);
-        const bool rdv = i % 10 == 9;
-        std::uint64_t small = tag;
-        const void* buf = &small;
-        std::size_t size = sizeof(small);
-        if (rdv) {
-          for (std::size_t j = 0; j < big.size(); ++j)
-            big[j] = static_cast<std::byte>((tag + j) & 0xFF);
-          buf = big.data();
-          size = big.size();
-        }
-        lci::Request& req = window[static_cast<std::size_t>(i) % window.size()];
-        while (req.status.load(std::memory_order_acquire) ==
-               lci::ReqStatus::Pending)
-          rt::thread_yield();
-        while (!q0.send_enq(buf, size, 1, tag, req)) rt::thread_yield();
-        if (rdv) {
-          // `big` is reused next round: wait until the put completed.
+        const std::uint32_t tag = static_cast<std::uint32_t>(t) * kTagStride +
+                                  static_cast<std::uint32_t>(i);
+        const std::uint64_t small = tag;
+        if (is_leased(i)) {
+          lci::Packet* p;
+          while ((p = q0.lease_tx_packet()) == nullptr) rt::thread_yield();
+          std::memcpy(p->data, &small, sizeof(small));
+          while (!q0.send_leased(p, sizeof(small), 1, tag, req))
+            rt::thread_yield();
+        } else if (is_rdv(i)) {
+          for (std::size_t j = 0; j < big.size(); ++j) big[j] = rdv_byte(tag, j);
+          while (!q0.send_enq(big.data(), big.size(), 1, tag, req))
+            rt::thread_yield();
+          // `big` is rewritten next time: wait until the put completed.
           while (!req.done()) rt::thread_yield();
+        } else {
+          while (!q0.send_enq(&small, sizeof(small), 1, tag, req))
+            rt::thread_yield();
         }
+        // Inline posting: an eager or leased send is done at return.
+        EXPECT_TRUE(req.done()) << "tag " << tag;
       }
-      for (auto& req : window)
-        while (req.status.load(std::memory_order_acquire) ==
-               lci::ReqStatus::Pending)
-          rt::thread_yield();
     });
   }
 
   std::map<std::uint32_t, int> seen;
-  lci::Request in;
+  std::array<int, kSenders> next{};  // next expected index per sender
   const int total = kSenders * kPerSender;
+  const std::uint64_t deadline = rt::now_ns() + 60ull * 1000 * 1000 * 1000;
+  lci::Request in;
   int received = 0;
   while (received < total) {
+    ASSERT_LT(rt::now_ns(), deadline)
+        << "stalled after " << received << " of " << total << " messages";
+    q1.progress();
     if (!q1.recv_deq(in)) {
       rt::thread_yield();
       continue;
     }
-    while (!in.done()) rt::thread_yield();
-    if (in.size == sizeof(std::uint64_t)) {
-      std::uint64_t v;
-      std::memcpy(&v, in.buffer, sizeof(v));
-      EXPECT_EQ(v, in.tag);
-    } else {
+    while (!in.done()) q1.progress();
+    const auto t = static_cast<std::size_t>(in.tag / kTagStride);
+    const int i = static_cast<int>(in.tag % kTagStride);
+    ASSERT_LT(t, static_cast<std::size_t>(kSenders)) << "tag " << in.tag;
+    EXPECT_EQ(i, next[t]) << "sender " << t << " out of order";
+    next[t] = i + 1;
+    if (is_rdv(i)) {
       ASSERT_EQ(in.size, rdv_bytes);
       const auto* bytes = static_cast<const std::byte*>(in.buffer);
       bool ok = true;
       for (std::size_t j = 0; j < in.size && ok; ++j)
-        ok = bytes[j] == static_cast<std::byte>((in.tag + j) & 0xFF);
+        ok = bytes[j] == rdv_byte(in.tag, j);
       EXPECT_TRUE(ok) << "rendezvous payload corrupted, tag " << in.tag;
+    } else {
+      ASSERT_EQ(in.size, sizeof(std::uint64_t));
+      std::uint64_t v;
+      std::memcpy(&v, in.buffer, sizeof(v));
+      EXPECT_EQ(v, in.tag);
     }
     ++seen[in.tag];
     q1.release(in);
     ++received;
   }
   for (auto& s : senders) s.join();
-  group.stop();
-  peer_server.stop();
+  server.stop();
 
-  // Exactly-once: every (sender, seq) tag seen exactly one time.
+  // Exactly-once: every (sender, index) tag seen exactly one time.
   ASSERT_EQ(seen.size(), static_cast<std::size_t>(total));
   for (const auto& [tag, count] : seen) EXPECT_EQ(count, 1) << "tag " << tag;
-  if (drop >= 0.05) {
-    EXPECT_GT(fab.endpoint(0).stats().rel_retransmits.load(), 0u);
+  EXPECT_GT(fab.endpoint(0).stats().rel_retransmits.load(), 0u);
+  int leased = 0, rdv = 0;
+  for (int i = 0; i < kPerSender; ++i) {
+    leased += is_leased(i) ? 1 : 0;
+    rdv += is_rdv(i) ? 1 : 0;
   }
-  // The multi-lane path was actually used.
-  EXPECT_EQ(q0.stats().lane_posts.load(), static_cast<std::uint64_t>(total));
+  EXPECT_EQ(q0.stats().lease_sends.load(),
+            static_cast<std::uint64_t>(kSenders * leased));
+  EXPECT_EQ(q0.stats().rdv_sends.load(),
+            static_cast<std::uint64_t>(kSenders * rdv));
+  EXPECT_EQ(q0.stats().eager_sends.load(),
+            static_cast<std::uint64_t>(kSenders * (kPerSender - rdv)));
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    ServersByDrop, MultiServerLossy,
-    ::testing::Combine(::testing::Values(1, 2, 4),
-                       ::testing::Values(0.01, 0.05)),
-    [](const auto& info) {
-      return "srv" + std::to_string(std::get<0>(info.param)) +
-             (std::get<1>(info.param) < 0.02 ? "_drop1" : "_drop5");
-    });
 
 }  // namespace
 }  // namespace lcr

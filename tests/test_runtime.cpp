@@ -13,7 +13,6 @@
 #include "runtime/mpmc_queue.hpp"
 #include "runtime/rng.hpp"
 #include "runtime/spinlock.hpp"
-#include "runtime/spsc_ring.hpp"
 #include "runtime/thread_team.hpp"
 #include "runtime/timer.hpp"
 
@@ -86,35 +85,6 @@ TEST(MpmcQueue, ConcurrentProducersConsumers) {
   const long long n = kProducers * kPerProducer;
   EXPECT_EQ(consumed.load(), n);
   EXPECT_EQ(sum.load(), n * (n - 1) / 2);
-}
-
-// ---------------------------------------------------------------------------
-// SpscRing
-// ---------------------------------------------------------------------------
-
-TEST(SpscRing, BasicOrdering) {
-  rt::SpscRing<int> ring(16);
-  EXPECT_TRUE(ring.empty());
-  for (int i = 0; i < 10; ++i) ASSERT_TRUE(ring.try_push(i));
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(ring.try_pop().value(), i);
-  EXPECT_TRUE(ring.empty());
-}
-
-TEST(SpscRing, StressTwoThreads) {
-  rt::SpscRing<int> ring(32);
-  constexpr int kCount = 20000;
-  std::thread producer([&] {
-    for (int i = 0; i < kCount; ++i)
-      while (!ring.try_push(i)) std::this_thread::yield();
-  });
-  int expected = 0;
-  while (expected < kCount) {
-    if (auto v = ring.try_pop()) {
-      ASSERT_EQ(*v, expected);  // strict FIFO
-      ++expected;
-    }
-  }
-  producer.join();
 }
 
 // ---------------------------------------------------------------------------

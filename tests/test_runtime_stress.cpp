@@ -1,5 +1,5 @@
 // Seeded, schedule-randomized stress tests for the runtime concurrency
-// primitives under the LCI injection path: SpscRing, MpmcQueue, PacketPool.
+// primitives under the LCI send and receive paths: MpmcQueue, PacketPool.
 //
 // Every test derives all randomness (payloads, batch sizes, and the
 // *schedule* - random yield/spin jitter between operations that shakes out
@@ -25,7 +25,6 @@
 #include "runtime/cpu_relax.hpp"
 #include "runtime/mpmc_queue.hpp"
 #include "runtime/rng.hpp"
-#include "runtime/spsc_ring.hpp"
 
 namespace lcr {
 namespace {
@@ -67,57 +66,6 @@ void jitter(rt::Rng& rng) {
     const std::uint64_t spins = rng.below(64);
     for (std::uint64_t i = 0; i < spins; ++i) rt::cpu_pause();
   }
-}
-
-// ---------------------------------------------------------------------------
-// SpscRing: one producer, one consumer, random batch sizes and jitter.
-// The ring must deliver the exact sequence, in order, no loss, no dup.
-// ---------------------------------------------------------------------------
-
-void spsc_stress_round(std::size_t capacity, std::uint64_t salt,
-                       std::uint64_t total) {
-  rt::SpscRing<std::uint64_t> ring(capacity);
-  std::atomic<bool> fail{false};
-
-  std::thread producer([&] {
-    rt::Rng rng(derive_seed(salt, 0));
-    std::uint64_t next = 0;
-    while (next < total) {
-      const std::uint64_t batch = 1 + rng.below(16);
-      for (std::uint64_t i = 0; i < batch && next < total; ++i) {
-        while (!ring.try_push(next)) rt::thread_yield();
-        ++next;
-      }
-      jitter(rng);
-    }
-  });
-
-  rt::Rng rng(derive_seed(salt, 1));
-  std::uint64_t expect = 0;
-  while (expect < total) {
-    std::optional<std::uint64_t> v = ring.try_pop();
-    if (!v) {
-      rt::thread_yield();
-      continue;
-    }
-    if (*v != expect) {
-      fail.store(true);
-      ADD_FAILURE() << "SPSC order broken: got " << *v << " want " << expect
-                    << " (capacity " << capacity << ")";
-      break;
-    }
-    ++expect;
-    if (rng.below(8) == 0) jitter(rng);
-  }
-  producer.join();
-  EXPECT_FALSE(fail.load());
-  EXPECT_TRUE(ring.empty());
-}
-
-TEST(SpscRingStress, ExactInOrderDeliveryAcrossCapacities) {
-  SCOPED_TRACE(seed_trace("SpscRingStress"));
-  for (std::size_t capacity : {1u, 2u, 7u, 64u, 1024u})
-    spsc_stress_round(capacity, 0x5350u + capacity, 20000);
 }
 
 // ---------------------------------------------------------------------------
